@@ -43,7 +43,7 @@ impl Default for HawkEyeConfig {
 #[derive(Debug, Clone, Default)]
 struct OptGenSet {
     /// (line, pc-hash) per access, oldest first.
-    history: VecDeque<(LineAddr, u64)>,
+    history: VecDeque<(LineAddr, u32)>,
     /// Occupancy per access quantum, aligned with `history`.
     occupancy: VecDeque<u8>,
 }
@@ -56,19 +56,27 @@ pub struct HawkEye {
     sample_stride: usize,
     window: usize,
     rrpv: Vec<u8>,
-    loader: Vec<u64>, // pc-hash that loaded each (set, way)
+    loader: Vec<u32>, // pc-hash that loaded each (set, way)
     predictor: Vec<SaturatingCounter>,
     samples: Vec<OptGenSet>,
 }
 
 impl HawkEye {
     /// Creates HawkEye state for `sets x ways`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sets` or `ways` is zero, or the predictor index is
+    /// wider than 32 bits (PC hashes are stored as `u32`).
     pub fn new(sets: usize, ways: usize, cfg: HawkEyeConfig) -> Self {
         assert!(sets > 0 && ways > 0);
+        assert!(
+            cfg.predictor_index_bits <= 32,
+            "predictor index must fit a u32"
+        );
         let sample_stride = (sets / cfg.sampled_sets.max(1)).max(1);
         let sampled = sets.div_ceil(sample_stride);
         let predictor_len = 1usize << cfg.predictor_index_bits;
-        let _ = sets;
         HawkEye {
             ways,
             cfg,
@@ -81,16 +89,16 @@ impl HawkEye {
         }
     }
 
-    fn pc_hash(&self, meta: &AccessMeta) -> u64 {
+    fn pc_hash(&self, meta: &AccessMeta) -> u32 {
         let pc = meta.pc.unwrap_or(Pc::new(0)).get();
         // Separate prefetch-triggered fills from demand fills, as HawkEye
         // does, so a PC can be friendly for demands yet averse when its
         // prefetches pollute.
         let tagged = pc ^ ((meta.is_prefetch as u64) << 62);
-        xor_fold(tagged, self.cfg.predictor_index_bits)
+        xor_fold(tagged, self.cfg.predictor_index_bits) as u32
     }
 
-    fn is_friendly(&self, pc_hash: u64) -> bool {
+    fn is_friendly(&self, pc_hash: u32) -> bool {
         self.predictor[pc_hash as usize].get() >= 4
     }
 
@@ -215,7 +223,7 @@ impl triangel_types::snap::Snapshot for HawkEye {
         }
         w.usize(self.loader.len());
         for v in &self.loader {
-            w.u64(*v);
+            w.u64(*v as u64);
         }
         w.usize(self.predictor.len());
         for c in &self.predictor {
@@ -226,7 +234,7 @@ impl triangel_types::snap::Snapshot for HawkEye {
             w.usize(s.history.len());
             for (line, pc_hash) in &s.history {
                 w.u64(line.index());
-                w.u64(*pc_hash);
+                w.u64(*pc_hash as u64);
             }
             w.usize(s.occupancy.len());
             for o in &s.occupancy {
@@ -244,9 +252,20 @@ impl triangel_types::snap::Snapshot for HawkEye {
         for v in &mut self.rrpv {
             *v = r.u8()?;
         }
+        let predictor_len = self.predictor.len();
+        // A PC hash indexes the predictor; anything wider is corrupt
+        // (and would not fit the packed `u32`).
+        let read_hash = |r: &mut triangel_types::snap::SnapReader| {
+            let h = r.u64()?;
+            triangel_types::snap::snap_check(
+                h < predictor_len as u64,
+                "HawkEye PC hash beyond the predictor",
+            )?;
+            Ok::<u32, triangel_types::snap::SnapError>(h as u32)
+        };
         r.expect_len(self.loader.len(), "HawkEye loaders")?;
         for v in &mut self.loader {
-            *v = r.u64()?;
+            *v = read_hash(r)?;
         }
         r.expect_len(self.predictor.len(), "HawkEye predictor")?;
         for c in &mut self.predictor {
@@ -259,7 +278,7 @@ impl triangel_types::snap::Snapshot for HawkEye {
             s.history.clear();
             for _ in 0..n {
                 let line = LineAddr::new(r.u64()?);
-                let pc_hash = r.u64()?;
+                let pc_hash = read_hash(r)?;
                 s.history.push_back((line, pc_hash));
             }
             let n = r.usize()?;
@@ -383,5 +402,27 @@ mod tests {
         assert!(h.samples.iter().map(|s| s.history.len()).sum::<usize>() == 0);
         h.on_fill(64, 0, &demand(7, 0x40));
         assert_eq!(h.samples[1].history.len(), 1);
+    }
+
+    #[test]
+    fn restore_rejects_pc_hashes_beyond_the_predictor() {
+        use triangel_types::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
+        let mut h = small();
+        for w in 0..4 {
+            h.on_fill(0, w, &demand(w as u64, 0x5));
+        }
+        let mut w = SnapWriter::new();
+        h.save(&mut w).unwrap();
+        let good = w.into_bytes();
+        small().restore(&mut SnapReader::new(&good)).unwrap();
+        // Loader 0 follows the RRPV count, the four RRPVs and the
+        // loader count; the 8-bit predictor has 256 entries.
+        let at = 8 + 4 + 8;
+        let mut bad = good.clone();
+        bad[at..at + 8].copy_from_slice(&256u64.to_le_bytes());
+        assert!(matches!(
+            small().restore(&mut SnapReader::new(&bad)),
+            Err(SnapError::Corrupt(_))
+        ));
     }
 }

@@ -64,13 +64,15 @@ impl EnergyBreakdown {
     /// (Fig. 15 plots energy relative to the no-temporal-prefetcher
     /// baseline).
     ///
-    /// # Panics
-    ///
-    /// Panics if the baseline total is zero.
+    /// NaN when the baseline spent no energy (a run too short to reach
+    /// memory); the JSON writers emit it as `null`.
     pub fn normalized_to(&self, baseline: &EnergyBreakdown) -> f64 {
         let b = baseline.total();
-        assert!(b > 0.0, "baseline energy must be positive");
-        self.total() / b
+        if b > 0.0 {
+            self.total() / b
+        } else {
+            f64::NAN
+        }
     }
 }
 
@@ -106,9 +108,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "baseline energy")]
-    fn zero_baseline_panics() {
+    fn zero_baseline_normalizes_to_nan() {
         let z = EnergyBreakdown::default();
-        let _ = z.normalized_to(&z);
+        assert!(z.normalized_to(&z).is_nan());
+        let m = EnergyModel::paper();
+        assert!(m.evaluate(3, 40).normalized_to(&z).is_nan());
     }
 }

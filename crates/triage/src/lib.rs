@@ -248,13 +248,10 @@ impl Triage {
         self.window_left -= 1;
         if self.window_left == 0 {
             self.window_left = self.cfg.sizing_window;
-            // New window: re-derive the target from fresh observations.
-            let epl = self.cfg.table.format.entries_per_line();
-            let per_way = self.cfg.table.sets * epl;
+            // New window: re-derive the target from fresh observations,
+            // keeping the current allocation until the new window
+            // justifies a different size.
             self.bloom.reset();
-            // Keep current allocation until the new window justifies a
-            // different size; record the floor so shrink happens lazily.
-            let _ = per_way;
         }
     }
 }

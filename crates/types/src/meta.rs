@@ -35,9 +35,14 @@ impl FillSource {
 ///
 /// Small by design — hardware would spend a handful of bits per line on
 /// this (2 source bits, a used bit, and a bounded fill timestamp held in
-/// the MSHR until completion); the simulator widens the timestamp to a
-/// full [`Cycle`] so late-prefetch timing is exact over arbitrarily long
-/// runs.
+/// the MSHR until completion). The simulator keeps `ready_at` as a full
+/// [`Cycle`] so late-prefetch timing is exact over arbitrarily long
+/// runs, and stores the rest packed: the cache's line record holds the
+/// 56-bit fill ordinal, the used bit and the 2 source bits in one word
+/// alongside its valid and prefetch-tag flags (a 32 B record per line;
+/// profiles show the simulator's cache model is bound by host cache
+/// misses on these records). This struct is the unpacked view handed
+/// to callers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LineMeta {
     /// Who filled the line.

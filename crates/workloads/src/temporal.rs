@@ -108,7 +108,8 @@ pub struct TemporalStream {
 
 impl TemporalStream {
     /// Builds the stream, generating its sequence deterministically from
-    /// `seed`.
+    /// `seed`. Drawing it takes a transient bitmap of `region_lines`
+    /// bits.
     ///
     /// # Panics
     ///
@@ -125,10 +126,13 @@ impl TemporalStream {
         }
         let mut rng = SplitMix64::new(seed ^ cfg.pc.get());
         let mut seq = Vec::with_capacity(cfg.seq_len);
-        let mut used = std::collections::HashSet::with_capacity(cfg.seq_len);
+        // One bit per region line dedupes the draws.
+        let mut used = vec![0u64; cfg.region_lines.div_ceil(64)];
         while seq.len() < cfg.seq_len {
             let line = rng.next_below(cfg.region_lines as u64);
-            if used.insert(line) {
+            let (word, bit) = ((line / 64) as usize, 1u64 << (line % 64));
+            if used[word] & bit == 0 {
+                used[word] |= bit;
                 seq.push(line);
             }
         }
