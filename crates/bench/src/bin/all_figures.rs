@@ -7,7 +7,7 @@
 //!
 //! ```text
 //! all_figures [--jobs N] [--filter <regex>] [--out-dir <dir>] [--trace <path>]
-//!             [--store <dir>] [--connect <socket>]
+//!             [--store <dir>]
 //! ```
 //!
 //! * `--jobs N` — worker threads (default: one per core). Reports are
@@ -21,8 +21,6 @@
 //!   byte-identical with or without it.
 //! * `--store <dir>` — resolve jobs against (and publish into) the
 //!   shared on-disk result store. Byte-identical output, warm or cold.
-//! * `--connect <socket>` — run remotable jobs on the simulation
-//!   daemon (`serve` binary) at this socket instead of in-process.
 //!
 //! Full-scale run: `cargo run --release -p triangel-bench --bin all_figures`
 //! Smoke run: `TRIANGEL_QUICK=1 cargo run --release -p triangel-bench --bin all_figures -- --filter 'fig10|table'`
@@ -52,7 +50,7 @@ fn main() {
 
     let mut ctx = FigureContext::new(params, cli.jobs);
     let trace = figures::attach_trace(&mut ctx, &cli);
-    if let Err(e) = figures::attach_service(&mut ctx, &cli) {
+    if let Err(e) = figures::attach_store(&mut ctx, &cli) {
         eprintln!("{e}");
         std::process::exit(2);
     }
@@ -86,7 +84,7 @@ fn main() {
         std::process::exit(2);
     }
     figures::write_trace(&cli, trace.as_deref());
-    figures::service_summary(&ctx.opts);
+    figures::store_summary(&ctx.opts);
     let stats = ctx.stats();
     eprintln!(
         "==> {} experiment(s); {} job(s), {} executed, {} cache hit(s), {} error(s)",

@@ -30,8 +30,8 @@
 //! * `--store DIR` — bridge the campaign to the shared cross-process
 //!   result store: finished jobs found there are served without
 //!   executing (counted as loaded), and every report the campaign
-//!   completes is published back, so daemons and sweeps over the same
-//!   grid get hits.
+//!   completes is published back, so later sweeps and campaigns over
+//!   the same grid get hits.
 //! * `--trace PATH` — record the campaign's wall-time spans (one per
 //!   job and per executed segment, on named worker lanes) as Chrome
 //!   `trace_event` JSON for <https://ui.perfetto.dev>. Host-only:

@@ -4,8 +4,6 @@
 //! cycle-ordered stepping), under the stride-only baseline and full
 //! Triangel. Emits `BENCH_multicore.json`
 //! (`BENCH_multicore_smoke.json` when `TRIANGEL_MULTICORE_SMOKE=1`).
-//! `TRIANGEL_EXEC_THREADS=N` parallelizes intra-sim trace generation;
-//! the artefact is byte-identical at any width.
 
 fn main() {
     triangel_bench::figures::run_main("multicore");

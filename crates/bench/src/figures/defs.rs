@@ -745,17 +745,11 @@ const MULTICORE_CONFIGS: [(&str, PrefetcherChoice); 3] = [
 /// end-of-run Markov-partition occupancy per core count as
 /// `BENCH_multicore.json` (`BENCH_multicore_smoke.json` with a shorter
 /// ladder under `TRIANGEL_MULTICORE_SMOKE=1`, so CI never clobbers the
-/// recorded artefact). Honors `TRIANGEL_EXEC_THREADS` for intra-sim
-/// trace generation — the artefact must be byte-identical at any
-/// width, and CI diffs the 1-thread and N-thread runs to prove it.
+/// recorded artefact).
 pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let params = FEATURES_PARAMS;
     let smoke = std::env::var("TRIANGEL_MULTICORE_SMOKE").is_ok_and(|v| v == "1");
     let core_counts: &[usize] = if smoke { &[1, 2, 4] } else { &[1, 2, 4, 8] };
-    let exec_threads: usize = std::env::var("TRIANGEL_EXEC_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
 
     let mut sweep = Sweep::new();
     for &n in core_counts {
@@ -765,8 +759,7 @@ pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
                     .with_cores(n)
                     // One sample, exactly at the end of the measured
                     // run: the final Markov-partition occupancy.
-                    .sample_every(params.accesses)
-                    .exec_threads(exec_threads),
+                    .sample_every(params.accesses),
             );
         }
     }

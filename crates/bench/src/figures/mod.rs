@@ -288,15 +288,10 @@ pub struct CliOptions {
     /// processes. Serving a sweep from the store is byte-identical to
     /// executing it.
     pub store: Option<PathBuf>,
-    /// `--connect <socket>`: run remotable jobs on the simulation
-    /// daemon listening at `socket` (see the `serve` binary) instead of
-    /// in-process. Results fold through the same aggregation,
-    /// byte-identically.
-    pub connect: Option<PathBuf>,
 }
 
 /// Parses `--jobs N`, `--filter RE`, `--out-dir DIR`, `--trace PATH`,
-/// `--store DIR`, `--connect SOCK`.
+/// `--store DIR`.
 ///
 /// # Errors
 ///
@@ -327,14 +322,10 @@ pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
                 let v = args.next().ok_or("--store needs a directory")?;
                 opts.store = Some(PathBuf::from(v));
             }
-            "--connect" => {
-                let v = args.next().ok_or("--connect needs a socket path")?;
-                opts.connect = Some(PathBuf::from(v));
-            }
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (expected --jobs N, --filter RE, --out-dir DIR, \
-                     --trace PATH, --store DIR, --connect SOCK)"
+                     --trace PATH, --store DIR)"
                 ))
             }
         }
@@ -365,7 +356,7 @@ pub fn run_main(name: &str) {
     let def = find(name).unwrap_or_else(|| panic!("unknown figure `{name}`"));
     let mut ctx = FigureContext::new(SweepParams::from_env(), cli.jobs);
     let trace = attach_trace(&mut ctx, &cli);
-    if let Err(e) = attach_service(&mut ctx, &cli) {
+    if let Err(e) = attach_store(&mut ctx, &cli) {
         eprintln!("{e}");
         std::process::exit(2);
     }
@@ -379,7 +370,7 @@ pub fn run_main(name: &str) {
         std::process::exit(1);
     }
     write_trace(&cli, trace.as_deref());
-    service_summary(&ctx.opts);
+    store_summary(&ctx.opts);
 }
 
 /// Creates the trace buffer `--trace` asked for (if any) and shares it
@@ -399,36 +390,26 @@ pub fn attach_trace(
     trace
 }
 
-/// Wires `--store` / `--connect` into the context's scheduler options:
-/// opens the on-disk result store and/or connects to the simulation
-/// daemon, so every sweep the figures run resolves through them.
+/// Wires `--store` into the context's scheduler options: opens the
+/// on-disk result store, so every sweep the figures run resolves
+/// through it.
 ///
 /// # Errors
 ///
-/// A one-line message when the store cannot be opened or the daemon
-/// cannot be reached (a dead daemon at `--connect` is an error here;
-/// mid-run daemon loss falls back to local execution with a warning).
-pub fn attach_service(ctx: &mut FigureContext, cli: &CliOptions) -> Result<(), String> {
+/// A one-line message when the store cannot be opened.
+pub fn attach_store(ctx: &mut FigureContext, cli: &CliOptions) -> Result<(), String> {
     if let Some(dir) = &cli.store {
         let store = triangel_harness::ResultStore::open(dir)
             .map_err(|e| format!("cannot open result store at {}: {e}", dir.display()))?;
         ctx.opts.store = Some(Arc::new(store));
     }
-    if let Some(sock) = &cli.connect {
-        let client = triangel_harness::Client::connect(sock)
-            .map_err(|e| format!("cannot connect to daemon at {}: {e}", sock.display()))?;
-        ctx.opts.remote = Some(Arc::new(client));
-    }
     Ok(())
 }
 
-/// Prints the store/daemon traffic counters to stderr after a run —
-/// one line each, only for the services actually attached. stdout is
-/// untouched, so figure output stays byte-identical.
-pub fn service_summary(opts: &SweepOptions) {
-    if let Some(client) = &opts.remote {
-        eprintln!("[serve] {}", client.stats().render());
-    }
+/// Prints the store's traffic counters to stderr after a run, when a
+/// store is attached. stdout is untouched, so figure output stays
+/// byte-identical.
+pub fn store_summary(opts: &SweepOptions) {
     if let Some(store) = &opts.store {
         eprintln!("[store] {}", store.stats().render());
     }
@@ -530,8 +511,6 @@ mod tests {
                 "/tmp/x",
                 "--store",
                 "/tmp/store",
-                "--connect",
-                "/tmp/serve.sock",
             ]
             .iter()
             .map(|s| s.to_string()),
@@ -547,10 +526,6 @@ mod tests {
         assert_eq!(
             opts.store.as_deref(),
             Some(std::path::Path::new("/tmp/store"))
-        );
-        assert_eq!(
-            opts.connect.as_deref(),
-            Some(std::path::Path::new("/tmp/serve.sock"))
         );
         assert!(parse_cli(["--bogus"].iter().map(|s| s.to_string())).is_err());
         assert!(parse_cli(["--store"].iter().map(|s| s.to_string())).is_err());

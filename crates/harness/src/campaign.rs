@@ -41,8 +41,8 @@ use triangel_store::{key_stem, write_atomic, ResultStore};
 use triangel_types::snap::SnapError;
 
 // The report framing grew up and moved out (to `triangel-store`, which
-// shares it between campaign artifacts, store entries, and the daemon
-// wire protocol); re-exported here so existing callers keep working.
+// shares it between campaign artifacts and store entries); re-exported
+// here so existing callers keep working.
 pub use triangel_store::{report_from_bytes, report_to_bytes, REPORT_MAGIC, REPORT_VERSION};
 
 use crate::job::JobSpec;
@@ -85,8 +85,8 @@ pub struct CampaignOptions {
     /// Shared cross-process [`ResultStore`]. When set, the campaign
     /// serves finished jobs from the store (counted as `loaded`, like
     /// its private `--out-dir` reports) and publishes every report it
-    /// finishes — or has finished — back into it, so a later daemon,
-    /// sweep, or campaign over the same grid is all hits.
+    /// finishes — or has finished — back into it, so a later sweep or
+    /// campaign over the same grid is all hits.
     pub store: Option<Arc<ResultStore>>,
 }
 

@@ -259,15 +259,6 @@ pub struct JobSpec {
     /// as `|nc=n`; for the inherently multi-core specs it must agree
     /// with the workload's own count.
     pub n_cores: Option<usize>,
-    /// Worker threads for intra-simulation trace generation
-    /// (see [`SimSessionBuilder::exec_threads`]; `1` = serial).
-    ///
-    /// Like [`JobSpec::sample_every`], **excluded from the content
-    /// key**: the thread count is observational — the engine refills
-    /// each core's ring from a source that worker alone owns, so the
-    /// simulation is byte-identical at any width — and CI diffs the
-    /// 1-thread and N-thread artefacts to keep that claim honest.
-    pub exec_threads: usize,
 }
 
 impl JobSpec {
@@ -282,7 +273,6 @@ impl JobSpec {
             features: None,
             sample_every: 0,
             n_cores: None,
-            exec_threads: 1,
         }
     }
 
@@ -314,15 +304,6 @@ impl JobSpec {
     #[must_use]
     pub fn sample_every(mut self, every: u64) -> Self {
         self.sample_every = every;
-        self
-    }
-
-    /// Sets the intra-simulation trace-generation thread count (see
-    /// [`JobSpec::exec_threads`] for why this never enters the content
-    /// key).
-    #[must_use]
-    pub fn exec_threads(mut self, threads: usize) -> Self {
-        self.exec_threads = threads.max(1);
         self
     }
 
@@ -456,7 +437,6 @@ impl JobSpec {
             .accesses(p.accesses)
             .sizing_window(p.sizing_window)
             .sample_every(self.sample_every)
-            .exec_threads(self.exec_threads)
             .prefetcher(self.prefetcher);
         if let MapperSpec::Realistic(seed) = self.mapper {
             b = b.page_mapper(PageMapper::realistic(seed));
@@ -571,12 +551,6 @@ mod tests {
             job.key(),
             sampled.key(),
             "sampling is observational; it must not fragment the cache key space"
-        );
-        let threaded = job.clone().exec_threads(8);
-        assert_eq!(
-            job.key(),
-            threaded.key(),
-            "intra-sim threading is observational; it must not fragment the cache key space"
         );
     }
 

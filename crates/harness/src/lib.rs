@@ -61,17 +61,15 @@ pub mod goldens;
 mod grid;
 mod job;
 pub mod pool;
-pub mod service;
 mod sweep;
 
 pub use campaign::{Campaign, CampaignOptions, CampaignReport, CampaignStats, JobOutcome};
 pub use grid::{GridResult, GridSpec};
 pub use job::{JobSpec, MapperSpec, RunParams, WorkloadSpec};
-pub use service::{Client, Server, ServerOptions};
 pub use sweep::{JobError, Progress, ResultCache, Sweep, SweepOptions, SweepReport, SweepStats};
 // Re-exported so fixture tests and batch drivers can build
 // `JobSpec::features` overrides without a direct `triangel-sim` import.
 pub use triangel_sim::TriangelFeatures;
-// The on-disk result store the sweep, campaign, and daemon layers all
-// coordinate through (see `SweepOptions::with_store`).
+// The on-disk result store the sweep and campaign layers coordinate
+// through (see `SweepOptions::with_store`).
 pub use triangel_store::ResultStore;

@@ -11,7 +11,6 @@ use triangel_store::{Claim, ResultStore};
 
 use crate::job::JobSpec;
 use crate::pool;
-use crate::service::Client;
 
 /// A failed job, carrying enough context to point at the bad spec.
 #[derive(Debug, Clone)]
@@ -125,12 +124,6 @@ pub struct SweepOptions {
     /// reports are published back. Results are byte-identical with or
     /// without a store.
     pub store: Option<Arc<ResultStore>>,
-    /// Simulation daemon connection. When set, every job the wire
-    /// protocol can express executes remotely (the daemon applies its
-    /// own store and pool); inexpressible jobs — boxed custom
-    /// workloads, pre-built graphs — fall back to local execution.
-    /// Results are byte-identical to local execution.
-    pub remote: Option<Arc<Client>>,
 }
 
 impl SweepOptions {
@@ -187,14 +180,6 @@ impl SweepOptions {
         self.store = Some(store);
         self
     }
-
-    /// Executes expressible jobs on the daemon behind `client` (see
-    /// [`SweepOptions::remote`]).
-    #[must_use]
-    pub fn with_remote(mut self, client: Arc<Client>) -> Self {
-        self.remote = Some(client);
-        self
-    }
 }
 
 /// Execution counters for one sweep.
@@ -202,14 +187,12 @@ impl SweepOptions {
 pub struct SweepStats {
     /// Jobs requested.
     pub jobs: usize,
-    /// Simulations actually executed for this sweep — locally, or on
-    /// the daemon when a connection is attached. Jobs served from a
-    /// cache, the on-disk store, or another process's concurrent
+    /// Simulations actually executed for this sweep. Jobs served from
+    /// a cache, the on-disk store, or another process's concurrent
     /// execution do not count.
     pub executed: usize,
     /// Jobs satisfied without executing (dedup within the sweep plus
-    /// hits on a shared cache, the on-disk store, or the daemon's
-    /// store).
+    /// hits on a shared cache or the on-disk store).
     pub cache_hits: usize,
     /// Jobs that failed with a [`JobError`].
     pub errors: usize,
@@ -321,30 +304,6 @@ impl Sweep {
         let sweep_start = trace.map(|t| t.now_us());
         let executed_n = AtomicUsize::new(0);
 
-        // Jobs the wire protocol can express run on the daemon as one
-        // batch; the rest (and, on a dead daemon, everything) run on
-        // the local pool below. Either way each slot's bytes are the
-        // same — remote execution is the same simulation.
-        let mut remote_results: HashMap<usize, crate::service::RemoteOutcome> = HashMap::new();
-        if let Some(client) = &opts.remote {
-            let slots: Vec<usize> = (0..total)
-                .filter(|&i| crate::service::remotable(to_run[i]))
-                .collect();
-            if !slots.is_empty() {
-                let jobs: Vec<JobSpec> = slots.iter().map(|&i| to_run[i].clone()).collect();
-                match client.run_jobs(&jobs, progress == Progress::Stderr) {
-                    Ok(outcomes) => {
-                        for (&slot, outcome) in slots.iter().zip(outcomes) {
-                            remote_results.insert(slot, outcome);
-                        }
-                    }
-                    Err(e) => {
-                        eprintln!("[harness] daemon unavailable ({e}); executing locally")
-                    }
-                }
-            }
-        }
-
         // Execute the unique jobs in parallel.
         let executed: Vec<Result<Arc<RunReport>, JobError>> =
             pool::run_indexed(total, opts.effective_workers(), |i| {
@@ -369,35 +328,28 @@ impl Sweep {
                     }
                     outcome
                 };
-                let outcome = if let Some(remote) = remote_results.get(&i) {
-                    if !remote.from_store {
-                        executed_n.fetch_add(1, Ordering::Relaxed);
-                    }
-                    remote.result.clone()
-                } else {
-                    match store {
-                        None => run_local(),
-                        // Coordinate with concurrent processes: whoever
-                        // wins the job's lock executes and publishes;
-                        // everyone else blocks, then reads the entry.
-                        Some(s) => match s.claim_blocking(&job.key()) {
-                            Ok(Claim::Hit(report)) => Ok(report),
-                            Ok(Claim::Lease(lease)) => {
-                                let outcome = run_local();
-                                if let Ok(report) = &outcome {
-                                    lease.publish(report);
-                                }
-                                outcome
+                let outcome = match store {
+                    None => run_local(),
+                    // Coordinate with concurrent processes: whoever wins
+                    // the job's lock executes and publishes; everyone
+                    // else blocks, then reads the entry.
+                    Some(s) => match s.claim_blocking(&job.key()) {
+                        Ok(Claim::Hit(report)) => Ok(report),
+                        Ok(Claim::Lease(lease)) => {
+                            let outcome = run_local();
+                            if let Ok(report) = &outcome {
+                                lease.publish(report);
                             }
-                            Err(e) => {
-                                eprintln!(
-                                    "[store] claim failed for {} ({e}); executing uncoordinated",
-                                    job.key()
-                                );
-                                run_local()
-                            }
-                        },
-                    }
+                            outcome
+                        }
+                        Err(e) => {
+                            eprintln!(
+                                "[store] claim failed for {} ({e}); executing uncoordinated",
+                                job.key()
+                            );
+                            run_local()
+                        }
+                    },
                 };
                 if progress == Progress::Stderr {
                     let n = done.fetch_add(1, Ordering::SeqCst) + 1;

@@ -5,14 +5,15 @@
 //!
 //! The two `ResultStore` handles here open their lock files
 //! independently, so they contend through `flock` exactly like two
-//! separate processes would — this is the same-machine analogue of the
-//! daemon's multi-client story.
+//! separate processes would. A third handle then reads the directory
+//! warm, serially and at eight workers, and must execute nothing.
 
 use std::sync::Arc;
 
 use triangel_harness::{JobSpec, RunParams, Sweep, SweepOptions, WorkloadSpec};
 use triangel_sim::PrefetcherChoice;
 use triangel_store::{report_to_bytes, ResultStore};
+use triangel_workloads::irregular::IrregularWorkload;
 use triangel_workloads::spec::SpecWorkload;
 
 fn tiny_params(seed: u64) -> RunParams {
@@ -24,7 +25,8 @@ fn tiny_params(seed: u64) -> RunParams {
     }
 }
 
-/// Six distinct jobs: three workloads × two prefetchers.
+/// Eight distinct jobs: three workloads × two prefetchers, a custom
+/// Triage geometry, and an irregular server workload.
 fn sweep() -> Sweep {
     let mut sweep = Sweep::new();
     for workload in [
@@ -40,6 +42,16 @@ fn sweep() -> Sweep {
             ));
         }
     }
+    sweep.push(JobSpec::new(
+        WorkloadSpec::Spec(SpecWorkload::Omnetpp),
+        PrefetcherChoice::TriageFormat(triangel_markov::TargetFormat::Ideal32),
+        tiny_params(13),
+    ));
+    sweep.push(JobSpec::new(
+        WorkloadSpec::Irregular(IrregularWorkload::ZipfKv),
+        PrefetcherChoice::Triangel,
+        tiny_params(13),
+    ));
     sweep
 }
 
@@ -95,20 +107,25 @@ fn racing_handles_execute_every_job_exactly_once() {
         );
     }
 
-    // A third, fresh handle over the same directory is all hits.
-    let warm =
-        sweep().run(&SweepOptions::serial().with_store(Arc::new(ResultStore::open(&dir).unwrap())));
-    assert_eq!(
-        warm.stats.executed, 0,
-        "warm sweep must be served entirely from the store"
-    );
-    assert_eq!(warm.stats.cache_hits, n_jobs);
-    for i in 0..n_jobs {
+    // A third, fresh handle over the same directory is all hits, at
+    // any worker count.
+    for (label, opts) in [
+        ("serial", SweepOptions::serial()),
+        ("parallel(8)", SweepOptions::parallel(8)),
+    ] {
+        let warm = sweep().run(&opts.with_store(Arc::new(ResultStore::open(&dir).unwrap())));
         assert_eq!(
-            report_to_bytes(warm.report(i)),
-            report_to_bytes(reference.report(i)),
-            "job {i} differs between the warm store read and the cold serial run"
+            warm.stats.executed, 0,
+            "{label} warm sweep must be served entirely from the store"
         );
+        assert_eq!(warm.stats.cache_hits, n_jobs);
+        for i in 0..n_jobs {
+            assert_eq!(
+                report_to_bytes(warm.report(i)),
+                report_to_bytes(reference.report(i)),
+                "job {i} differs between the {label} warm store read and the cold serial run"
+            );
+        }
     }
 
     let _ = std::fs::remove_dir_all(&dir);

@@ -124,13 +124,6 @@ pub struct Engine {
     rings: Vec<AccessRing>,
     timelines: Vec<CoreTimeline>,
     mapper: PageMapper,
-    /// Worker threads for trace *generation* (ring refills). Execution
-    /// of accesses through the shared memory system stays serial — that
-    /// is what makes contention deterministic — but generation is
-    /// per-core independent, so refilling rings in parallel is
-    /// byte-identical to serial by construction. Purely an execution
-    /// detail: never snapshotted, never part of a content key.
-    exec_threads: usize,
     /// Scratch for the cycle-ordered stepping order (avoids a per-round
     /// allocation).
     step_order: Vec<usize>,
@@ -167,15 +160,8 @@ impl Engine {
             rings: (0..n).map(|_| AccessRing::new()).collect(),
             timelines: (0..n).map(|_| CoreTimeline::new(rob)).collect(),
             mapper,
-            exec_threads: 1,
             step_order: (0..n).collect(),
         })
-    }
-
-    /// Sets the trace-generation worker-thread count (1 = serial).
-    /// Observational: results are byte-identical for every value.
-    pub fn set_exec_threads(&mut self, threads: usize) {
-        self.exec_threads = threads.max(1);
     }
 
     /// Advances one access on one core.
@@ -227,33 +213,6 @@ impl Engine {
         tl.inflight_instrs += k;
     }
 
-    /// Refills every empty ring up front, in parallel when
-    /// `exec_threads > 1`. Each worker owns exactly one `(source, ring)`
-    /// pair, and `fill` on an empty ring is contractually equivalent to
-    /// repeated `next_access`, so the result is byte-identical to the
-    /// lazy serial refill in [`Engine::step`] — thread scheduling can
-    /// only reorder *which generator runs first*, never what any
-    /// generator produces.
-    fn refill_rings_parallel(&mut self) {
-        let jobs: Vec<(&mut Box<dyn TraceSource + Send>, &mut AccessRing)> = self
-            .sources
-            .iter_mut()
-            .zip(self.rings.iter_mut())
-            .filter(|(_, ring)| ring.is_empty())
-            .collect();
-        if jobs.len() <= 1 {
-            for (source, ring) in jobs {
-                source.fill(ring);
-            }
-            return;
-        }
-        std::thread::scope(|scope| {
-            for (source, ring) in jobs {
-                scope.spawn(move || source.fill(ring));
-            }
-        });
-    }
-
     /// Runs `n` rounds, each stepping every core exactly once.
     ///
     /// In legacy mode the per-round order is fixed (core 0, 1, …). With
@@ -270,9 +229,6 @@ impl Engine {
         let cycle_ordered = self.system.config().contention.cycle_ordered;
         let cores = self.sources.len();
         for _ in 0..n {
-            if self.exec_threads > 1 {
-                self.refill_rings_parallel();
-            }
             if cycle_ordered {
                 let mut order = std::mem::take(&mut self.step_order);
                 order.sort_by_key(|&c| (self.timelines[c].last_retire, c));

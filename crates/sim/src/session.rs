@@ -308,7 +308,6 @@ pub struct SimSessionBuilder {
     label: Option<String>,
     features: Option<TriangelFeatures>,
     sample_every: u64,
-    exec_threads: usize,
 }
 
 impl Default for SimSessionBuilder {
@@ -324,7 +323,6 @@ impl Default for SimSessionBuilder {
             label: None,
             features: None,
             sample_every: 0,
-            exec_threads: 1,
         }
     }
 }
@@ -342,19 +340,6 @@ impl SimSessionBuilder {
     #[must_use]
     pub fn boxed_workload(mut self, source: Box<dyn TraceSource + Send>) -> Self {
         self.sources.push(source);
-        self
-    }
-
-    /// Sets the worker-thread count for intra-simulation trace
-    /// generation (default 1 = fully serial). Execution through the
-    /// shared memory system always stays serial; only the per-core
-    /// generators run concurrently, so any thread count is byte-
-    /// identical to serial (pinned by the multi-core determinism
-    /// suite). Observational: never snapshotted, never part of a
-    /// content key.
-    #[must_use]
-    pub fn exec_threads(mut self, threads: usize) -> Self {
-        self.exec_threads = threads.max(1);
         self
     }
 
@@ -505,8 +490,7 @@ impl SimSessionBuilder {
                 .collect::<Vec<_>>()
                 .join(" & ")
         });
-        let mut engine = Engine::try_new(system, self.sources, mapper)?;
-        engine.set_exec_threads(self.exec_threads);
+        let engine = Engine::try_new(system, self.sources, mapper)?;
         Ok(SimSession {
             engine,
             warmup: self.warmup,

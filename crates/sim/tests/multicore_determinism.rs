@@ -8,8 +8,6 @@
 //! * the {1, 2, 4, 8}-core ladder under Baseline and Triangel is
 //!   pinned by fingerprint — any drift means the contention machinery
 //!   changed behaviour;
-//! * intra-simulation parallel trace generation (`exec_threads`) is
-//!   byte-identical to serial, reports and snapshots both;
 //! * interrupt → snapshot → restore → continue mid-measurement on a
 //!   contended 4-core run reproduces the uninterrupted run exactly
 //!   (the bank-arbiter and channel clocks ride in the snapshot);
@@ -32,14 +30,13 @@ fn core_seed(seed: u64, core: usize) -> u64 {
 
 /// An `n`-core session on the contended timing model, every core
 /// running the MCF generator on the harness seed ladder.
-fn build_n_core(n: usize, choice: PrefetcherChoice, exec_threads: usize) -> SimSession {
+fn build_n_core(n: usize, choice: PrefetcherChoice) -> SimSession {
     let mut b = SimSession::builder()
         .system(SystemConfig::paper_n_core(n))
         .prefetcher(choice)
         .warmup(WARMUP)
         .accesses(ACCESSES)
-        .sizing_window(1_000)
-        .exec_threads(exec_threads);
+        .sizing_window(1_000);
     for i in 0..n {
         b = b.workload(SpecWorkload::Mcf.generator(core_seed(11, i)));
     }
@@ -74,7 +71,7 @@ fn n_core_ladder_reports_are_pinned() {
     ];
     let print = std::env::var("TRIANGEL_PRINT_PINS").is_ok_and(|v| v == "1");
     for (n, choice, expected) in pins {
-        let mut s = build_n_core(n, choice, 1);
+        let mut s = build_n_core(n, choice);
         s.run_segment(u64::MAX);
         assert!(s.is_complete());
         let got = fingerprint(&s);
@@ -91,28 +88,8 @@ fn n_core_ladder_reports_are_pinned() {
 }
 
 #[test]
-fn parallel_trace_generation_is_byte_identical_to_serial() {
-    for n in [4usize, 8] {
-        let mut serial = build_n_core(n, PrefetcherChoice::Triangel, 1);
-        let mut threaded = build_n_core(n, PrefetcherChoice::Triangel, 8);
-        serial.run_segment(u64::MAX);
-        threaded.run_segment(u64::MAX);
-        assert_eq!(
-            fingerprint(&serial),
-            fingerprint(&threaded),
-            "{n}-core: N-thread trace generation diverged from serial"
-        );
-        assert_eq!(
-            serial.snapshot().expect("snapshot"),
-            threaded.snapshot().expect("snapshot"),
-            "{n}-core: N-thread snapshot bytes diverged from serial"
-        );
-    }
-}
-
-#[test]
 fn contended_four_core_run_is_snapshot_equivalent() {
-    let make = || build_n_core(4, PrefetcherChoice::Triangel, 1);
+    let make = || build_n_core(4, PrefetcherChoice::Triangel);
 
     let mut straight = make();
     straight.run_segment(u64::MAX);

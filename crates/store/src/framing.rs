@@ -1,8 +1,8 @@
 //! Binary framing for persisted [`RunReport`]s.
 //!
 //! This is the on-disk report format shared by the campaign runner
-//! (`<stem>.report.bin` artifacts), the [`crate::ResultStore`] entries,
-//! and the simulation daemon's wire protocol. Version 2 appends the
+//! (`<stem>.report.bin` artifacts) and the [`crate::ResultStore`]
+//! entries. Version 2 appends the
 //! optional interval time-series, so sampled jobs persist (and are
 //! served) with their recorded series intact.
 

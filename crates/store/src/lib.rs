@@ -7,8 +7,8 @@
 //! a [`ResultStore`] that any number of processes share:
 //!
 //! * **Content-addressed.** The key is the job's content key — the
-//!   same string the in-process cache uses — so a sweep, a campaign,
-//!   and a daemon all name the same simulation identically.
+//!   same string the in-process cache uses — so a sweep and a
+//!   campaign name the same simulation identically.
 //! * **Atomic.** Entries are published with write-temp + rename; a
 //!   kill mid-publish leaves either the old entry or the new one,
 //!   never a torn file.

@@ -9,9 +9,7 @@ use triangel_types::rng::SplitMix64;
 ///
 /// The mix sits on the simulator's per-access hot path; storing the
 /// shipped building blocks as concrete variants (instead of
-/// `Box<dyn TraceSource>`) lets the per-pick pull monomorphize. The
-/// [`StreamImpl::Dyn`] arm keeps arbitrary sources working through the
-/// original trait object.
+/// `Box<dyn TraceSource>`) lets the per-pick pull monomorphize.
 #[derive(Debug)]
 pub enum StreamImpl {
     /// A repeating temporal sequence.
@@ -28,9 +26,6 @@ pub enum StreamImpl {
     HashJoin(HashJoinStream),
     /// Web-serving session mix.
     WebSession(WebSessionStream),
-    /// Any other source, behind the trait object (pays the virtual
-    /// call the concrete arms avoid).
-    Dyn(Box<dyn TraceSource + Send>),
 }
 
 impl StreamImpl {
@@ -44,7 +39,6 @@ impl StreamImpl {
             StreamImpl::GcChurn(s) => s.next_access(),
             StreamImpl::HashJoin(s) => s.next_access(),
             StreamImpl::WebSession(s) => s.next_access(),
-            StreamImpl::Dyn(s) => s.next_access(),
         }
     }
 }
@@ -91,12 +85,6 @@ impl From<WebSessionStream> for StreamImpl {
     }
 }
 
-impl From<Box<dyn TraceSource + Send>> for StreamImpl {
-    fn from(s: Box<dyn TraceSource + Send>) -> Self {
-        StreamImpl::Dyn(s)
-    }
-}
-
 /// Interleaves several [`TraceSource`]s with fixed weights, modelling a
 /// program whose loops touch several data structures.
 ///
@@ -118,8 +106,8 @@ impl From<Box<dyn TraceSource + Send>> for StreamImpl {
 /// let b = TemporalStream::new(
 ///     TemporalStreamConfig::pointer_chase("b", Pc::new(2), Addr::new(1 << 30), 32), 2);
 /// let mut mix = WorkloadMix::new("ab", 9);
-/// mix.add(Box::new(a), 3);
-/// mix.add(Box::new(b), 1);
+/// mix.add_stream(a, 3);
+/// mix.add_stream(b, 1);
 /// let _ = mix.next_access();
 /// ```
 #[derive(Debug)]
@@ -141,26 +129,8 @@ impl WorkloadMix {
         }
     }
 
-    /// Adds a boxed stream with the given selection weight.
-    ///
-    /// Compatibility shim: the source lands in the [`StreamImpl::Dyn`]
-    /// arm. Prefer [`WorkloadMix::add_stream`] for the shipped building
-    /// blocks, which dispatch without a virtual call.
-    ///
-    /// Kept deliberately (shim audit): external callers composing their
-    /// own `TraceSource` implementations have no enum arm to land in
-    /// (see `examples/custom_workload.rs`), so the boxed entry point
-    /// stays.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weight` is zero.
-    pub fn add(&mut self, stream: Box<dyn TraceSource + Send>, weight: u32) {
-        self.add_stream(stream, weight);
-    }
-
-    /// Adds a stream with the given selection weight, enum-dispatched
-    /// where the concrete type is one of the shipped building blocks.
+    /// Adds one of the shipped building blocks with the given selection
+    /// weight.
     ///
     /// # Panics
     ///
@@ -248,7 +218,6 @@ impl StreamImpl {
             StreamImpl::GcChurn(s) => s.save_snap(w),
             StreamImpl::HashJoin(s) => s.save_snap(w),
             StreamImpl::WebSession(s) => s.save_snap(w),
-            StreamImpl::Dyn(s) => s.save_state(w),
         }
     }
 
@@ -261,7 +230,6 @@ impl StreamImpl {
             StreamImpl::GcChurn(s) => s.restore_snap(r),
             StreamImpl::HashJoin(s) => s.restore_snap(r),
             StreamImpl::WebSession(s) => s.restore_snap(r),
-            StreamImpl::Dyn(s) => s.restore_state(r),
         }
     }
 }
@@ -273,7 +241,7 @@ impl WorkloadMix {
     ///
     /// # Errors
     ///
-    /// Propagates [`SnapError`] (e.g. an unsupported boxed stream).
+    /// Propagates [`SnapError`].
     pub fn save_state_impl(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         self.rng.save(w)?;
         w.usize(self.streams.len());
@@ -304,8 +272,8 @@ mod tests {
     use crate::temporal::{TemporalStream, TemporalStreamConfig};
     use triangel_types::{Addr, Pc};
 
-    fn chase(pc: u64, base: u64, len: usize) -> Box<dyn TraceSource + Send> {
-        Box::new(TemporalStream::new(
+    fn chase(pc: u64, base: u64, len: usize) -> TemporalStream {
+        TemporalStream::new(
             TemporalStreamConfig::pointer_chase(
                 format!("s{pc}"),
                 Pc::new(pc),
@@ -313,14 +281,14 @@ mod tests {
                 len,
             ),
             pc,
-        ))
+        )
     }
 
     #[test]
     fn weights_are_respected() {
         let mut mix = WorkloadMix::new("m", 1);
-        mix.add(chase(1, 0, 16), 3);
-        mix.add(chase(2, 1 << 30, 16), 1);
+        mix.add_stream(chase(1, 0, 16), 3);
+        mix.add_stream(chase(2, 1 << 30, 16), 1);
         let mut low = 0;
         for _ in 0..4000 {
             if mix.next_access().vaddr.get() < (1 << 30) {
@@ -337,8 +305,8 @@ mod tests {
         let expected: Vec<u64> = (0..64).map(|_| solo.next_access().vaddr.get()).collect();
 
         let mut mix = WorkloadMix::new("m", 2);
-        mix.add(chase(5, 0, 64), 1);
-        mix.add(chase(6, 1 << 30, 64), 1);
+        mix.add_stream(chase(5, 0, 64), 1);
+        mix.add_stream(chase(6, 1 << 30, 64), 1);
         let mut got = Vec::new();
         while got.len() < 64 {
             let a = mix.next_access();
@@ -367,9 +335,9 @@ mod tests {
     fn fill_matches_next_access_exactly() {
         let build = || {
             let mut mix = WorkloadMix::new("m", 9);
-            mix.add(chase(1, 0, 16), 3);
-            mix.add(chase(2, 1 << 30, 16), 1);
-            mix.add(chase(3, 2 << 30, 16), 5);
+            mix.add_stream(chase(1, 0, 16), 3);
+            mix.add_stream(chase(2, 1 << 30, 16), 1);
+            mix.add_stream(chase(3, 2 << 30, 16), 5);
             mix
         };
         let mut by_next = build();
@@ -387,6 +355,6 @@ mod tests {
     #[should_panic(expected = "weight must be positive")]
     fn zero_weight_rejected() {
         let mut mix = WorkloadMix::new("m", 0);
-        mix.add(chase(1, 0, 8), 0);
+        mix.add_stream(chase(1, 0, 8), 0);
     }
 }

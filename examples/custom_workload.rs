@@ -20,8 +20,8 @@ fn build_workload(seed: u64) -> WorkloadMix {
 
     // A strict dependent chase over 40k lines (2.5 MiB): beyond every
     // cache, comfortably inside Markov capacity.
-    mix.add(
-        Box::new(TemporalStream::new(
+    mix.add_stream(
+        TemporalStream::new(
             TemporalStreamConfig::pointer_chase(
                 "chase",
                 Pc::new(0x100),
@@ -29,14 +29,14 @@ fn build_workload(seed: u64) -> WorkloadMix {
                 40_000,
             ),
             seed,
-        )),
+        ),
         3,
     );
 
     // A loose scan: same element set each pass, jittered order. The
     // Second-Chance Sampler keeps this prefetchable.
-    mix.add(
-        Box::new(TemporalStream::new(
+    mix.add_stream(
+        TemporalStream::new(
             TemporalStreamConfig {
                 exactness: 0.6,
                 shuffle_window: 12,
@@ -48,20 +48,20 @@ fn build_workload(seed: u64) -> WorkloadMix {
                 )
             },
             seed ^ 1,
-        )),
+        ),
         2,
     );
 
     // Unlearnable noise that a good prefetcher must ignore.
-    mix.add(
-        Box::new(RandomStream::new(
+    mix.add_stream(
+        RandomStream::new(
             "noise",
             Pc::new(0x300),
             Addr::new(0x30_0000_0000),
             100_000,
             false,
             seed ^ 2,
-        )),
+        ),
         1,
     );
     mix

@@ -21,9 +21,7 @@
 //!   declarative job lists, a work-stealing scheduler, a content-keyed
 //!   result cache, JSON/CSV emitters, the checkpointable
 //!   [`Campaign`](harness::Campaign) runner that snapshots and resumes
-//!   paper-scale sweeps, and the simulation daemon
-//!   ([`harness::service`]) that serves sweeps over a Unix socket
-//!   (see EXPERIMENTS.md).
+//!   paper-scale sweeps (see EXPERIMENTS.md).
 //! * [`store`] — the on-disk, content-addressed result store shared
 //!   across processes: atomic publishes, `flock`-claimed exactly-once
 //!   execution, self-checking entries.
