@@ -56,7 +56,7 @@ pub struct HawkEye {
     sample_stride: usize,
     window: usize,
     rrpv: Vec<u8>,
-    loader: Vec<u32>, // pc-hash that loaded each (set, way)
+    loader: Vec<u16>, // pc-hash that loaded each (set, way)
     predictor: Vec<SaturatingCounter>,
     samples: Vec<OptGenSet>,
 }
@@ -67,12 +67,13 @@ impl HawkEye {
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero, or the predictor index is
-    /// wider than 32 bits (PC hashes are stored as `u32`).
+    /// wider than 16 bits: each (set, way)'s loader PC hash is stored as
+    /// a `u16` (the shipped configurations use 13 and 8 bits).
     pub fn new(sets: usize, ways: usize, cfg: HawkEyeConfig) -> Self {
         assert!(sets > 0 && ways > 0);
         assert!(
-            cfg.predictor_index_bits <= 32,
-            "predictor index must fit a u32"
+            cfg.predictor_index_bits <= 16,
+            "predictor index must fit a u16"
         );
         let sample_stride = (sets / cfg.sampled_sets.max(1)).max(1);
         let sampled = sets.div_ceil(sample_stride);
@@ -159,7 +160,7 @@ impl ReplacementPolicy for HawkEye {
         } else {
             RRPV_MAX
         };
-        self.loader[i] = pc_hash;
+        self.loader[i] = pc_hash as u16;
     }
 
     fn on_fill(&mut self, set: usize, way: usize, meta: &AccessMeta) {
@@ -182,7 +183,7 @@ impl ReplacementPolicy for HawkEye {
         }
         let i = set * self.ways + way;
         self.rrpv[i] = if friendly { 0 } else { RRPV_MAX };
-        self.loader[i] = pc_hash;
+        self.loader[i] = pc_hash as u16;
     }
 
     fn victim(&mut self, set: usize, mask: WayMask) -> usize {
@@ -254,7 +255,7 @@ impl triangel_types::snap::Snapshot for HawkEye {
         }
         let predictor_len = self.predictor.len();
         // A PC hash indexes the predictor; anything wider is corrupt
-        // (and would not fit the packed `u32`).
+        // (and would not fit the packed `u16` loaders).
         let read_hash = |r: &mut triangel_types::snap::SnapReader| {
             let h = r.u64()?;
             triangel_types::snap::snap_check(
@@ -265,7 +266,7 @@ impl triangel_types::snap::Snapshot for HawkEye {
         };
         r.expect_len(self.loader.len(), "HawkEye loaders")?;
         for v in &mut self.loader {
-            *v = read_hash(r)?;
+            *v = read_hash(r)? as u16;
         }
         r.expect_len(self.predictor.len(), "HawkEye predictor")?;
         for c in &mut self.predictor {
@@ -402,6 +403,19 @@ mod tests {
         assert!(h.samples.iter().map(|s| s.history.len()).sum::<usize>() == 0);
         h.on_fill(64, 0, &demand(7, 0x40));
         assert_eq!(h.samples[1].history.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "predictor index must fit a u16")]
+    fn rejects_predictor_indices_wider_than_the_loaders() {
+        let _ = HawkEye::new(
+            1,
+            4,
+            HawkEyeConfig {
+                predictor_index_bits: 17,
+                ..HawkEyeConfig::default()
+            },
+        );
     }
 
     #[test]

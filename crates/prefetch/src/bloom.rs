@@ -47,18 +47,19 @@ impl BloomFilter {
         }
     }
 
-    fn bit_positions(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
+    /// The `hashes` bit positions of `key` in an `n_bits` filter.
+    fn bit_positions(key: u64, hashes: u32, n_bits: usize) -> impl Iterator<Item = usize> {
         // Double hashing: h1 + i*h2, the standard Kirsch–Mitzenmacher
         // construction.
         let h1 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let h2 = xor_fold(key, 31) | 1;
-        let n = self.n_bits as u64;
-        (0..self.hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % n) as usize)
+        let n = n_bits as u64;
+        (0..hashes as u64).map(move |i| (h1.wrapping_add(i.wrapping_mul(h2)) % n) as usize)
     }
 
     /// Tests membership without inserting.
     pub fn contains(&self, key: u64) -> bool {
-        self.bit_positions(key)
+        Self::bit_positions(key, self.hashes, self.n_bits)
             .all(|p| self.bits[p / 64] >> (p % 64) & 1 == 1)
     }
 
@@ -67,9 +68,14 @@ impl BloomFilter {
     /// key (modulo false positives), which is what grows Triage's
     /// partition target.
     pub fn insert(&mut self, key: u64) -> bool {
-        let was_present = self.contains(key);
-        for p in self.bit_positions(key).collect::<Vec<_>>() {
-            self.bits[p / 64] |= 1 << (p % 64);
+        // Reading each bit just before setting it equals reading them
+        // all first: a position repeated within one key reads as set
+        // only if an earlier probe of it already came back clear.
+        let mut was_present = true;
+        for p in Self::bit_positions(key, self.hashes, self.n_bits) {
+            let (word, bit) = (&mut self.bits[p / 64], 1u64 << (p % 64));
+            was_present &= *word & bit != 0;
+            *word |= bit;
         }
         if !was_present {
             self.unique_inserts += 1;
@@ -172,6 +178,19 @@ mod tests {
         // failure mode for Triangel-Bloom, Section 6.4).
         let fp = (10_000..10_100u64).filter(|k| f.contains(*k)).count();
         assert!(fp > 90);
+    }
+
+    #[test]
+    fn insert_reports_membership_from_before_the_insert() {
+        // One 64-bit word and 4 hashes: positions often repeat within a
+        // key, the case where reading while setting could go wrong.
+        let mut f = BloomFilter::new(64, 4);
+        for k in 0..200u64 {
+            let key = k.wrapping_mul(0x2545_F491_4F6C_DD1D);
+            let before = f.contains(key);
+            assert_eq!(f.insert(key), before, "key {k}");
+            assert!(f.contains(key));
+        }
     }
 
     #[test]

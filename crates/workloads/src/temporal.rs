@@ -79,6 +79,9 @@ impl TemporalStreamConfig {
 /// A repeating temporal sequence with controllable looseness, noise,
 /// drift, and dependence.
 ///
+/// The sequence is stored as `u32` line offsets within the region, so
+/// a region holds at most 2^32 lines (256 GiB).
+///
 /// # Examples
 ///
 /// ```
@@ -96,9 +99,9 @@ impl TemporalStreamConfig {
 pub struct TemporalStream {
     cfg: TemporalStreamConfig,
     /// The sequence, as line offsets within the region.
-    seq: Vec<u64>,
+    seq: Vec<u32>,
     /// Items from the current pass awaiting emission (reorder buffer).
-    pending: Vec<u64>,
+    pending: Vec<u32>,
     /// Emissions since the current front of `pending` arrived there;
     /// bounds how far any element can be displaced.
     front_age: usize,
@@ -113,13 +116,18 @@ impl TemporalStream {
     ///
     /// # Panics
     ///
-    /// Panics if `seq_len` is zero, `region_lines < seq_len`, or the
+    /// Panics if `seq_len` is zero, `region_lines < seq_len`,
+    /// `region_lines > 2^32` (offsets are stored as `u32`), or the
     /// probabilities are outside `[0, 1]`.
     pub fn new(cfg: TemporalStreamConfig, seed: u64) -> Self {
         assert!(cfg.seq_len > 0, "sequence must be non-empty");
         assert!(
             cfg.region_lines >= cfg.seq_len,
             "region must fit the sequence"
+        );
+        assert!(
+            cfg.region_lines as u64 <= 1 << 32,
+            "region must be at most 2^32 lines"
         );
         for p in [cfg.exactness, cfg.noise, cfg.drift] {
             assert!((0.0..=1.0).contains(&p), "probabilities must be in [0, 1]");
@@ -133,7 +141,7 @@ impl TemporalStream {
             let (word, bit) = ((line / 64) as usize, 1u64 << (line % 64));
             if used[word] & bit == 0 {
                 used[word] |= bit;
-                seq.push(line);
+                seq.push(line as u32);
             }
         }
         TemporalStream {
@@ -157,7 +165,7 @@ impl TemporalStream {
             if self.cfg.drift > 0.0 {
                 for i in 0..self.seq.len() {
                     if self.rng.chance(self.cfg.drift) {
-                        self.seq[i] = self.rng.next_below(self.cfg.region_lines as u64);
+                        self.seq[i] = self.rng.next_below(self.cfg.region_lines as u64) as u32;
                     }
                 }
             }
@@ -187,7 +195,7 @@ impl TemporalStream {
         } else {
             self.front_age += 1;
         }
-        self.pending.remove(idx)
+        self.pending.remove(idx) as u64
     }
 }
 
@@ -380,11 +388,11 @@ impl TemporalStream {
         // `seq` mutates under drift, so it is state, not configuration.
         w.usize(self.seq.len());
         for l in &self.seq {
-            w.u64(*l);
+            w.u64(*l as u64);
         }
         w.usize(self.pending.len());
         for l in &self.pending {
-            w.u64(*l);
+            w.u64(*l as u64);
         }
         w.usize(self.front_age);
         w.usize(self.pos);
@@ -392,9 +400,15 @@ impl TemporalStream {
     }
 
     pub(crate) fn restore_snap(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let region = self.cfg.region_lines as u64;
+        let read_line = |r: &mut SnapReader| {
+            let l = r.u64()?;
+            snap_check(l < region, "line offset beyond the region")?;
+            Ok::<u32, SnapError>(l as u32)
+        };
         r.expect_len(self.seq.len(), "temporal sequence")?;
         for l in &mut self.seq {
-            *l = r.u64()?;
+            *l = read_line(r)?;
         }
         let n = r.usize()?;
         snap_check(
@@ -403,7 +417,7 @@ impl TemporalStream {
         )?;
         self.pending.clear();
         for _ in 0..n {
-            self.pending.push(r.u64()?);
+            self.pending.push(read_line(r)?);
         }
         self.front_age = r.usize()?;
         let pos = r.usize()?;
@@ -533,6 +547,48 @@ mod tests {
             let v = s.next_access().vaddr.get();
             assert!((4096..4096 + 16 * 64).contains(&v));
         }
+    }
+
+    #[test]
+    fn restore_rejects_offsets_beyond_the_region() {
+        let cfg = TemporalStreamConfig {
+            exactness: 0.5,
+            shuffle_window: 4,
+            ..TemporalStreamConfig::pointer_chase("t", Pc::new(9), Addr::new(0), 16)
+        };
+        let mut s = TemporalStream::new(cfg.clone(), 1);
+        let _ = s.next_access();
+        let mut w = SnapWriter::new();
+        s.save_snap(&mut w).unwrap();
+        let good = w.into_bytes();
+        TemporalStream::new(cfg.clone(), 1)
+            .restore_snap(&mut SnapReader::new(&good))
+            .unwrap();
+        // Sequence entry 0 follows its count; the reorder buffer (three
+        // entries after one emission) follows the 16 entries.
+        let pending = 8 + 16 * 8 + 8;
+        assert_eq!(good[pending - 8], 3);
+        for (at, what) in [(8, "sequence"), (pending, "reorder buffer")] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&(cfg.region_lines as u64).to_le_bytes());
+            assert!(
+                matches!(
+                    TemporalStream::new(cfg.clone(), 1).restore_snap(&mut SnapReader::new(&bad)),
+                    Err(SnapError::Corrupt(_))
+                ),
+                "accepted an out-of-region {what} offset"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "region must be at most")]
+    fn region_must_fit_u32_offsets() {
+        let cfg = TemporalStreamConfig {
+            region_lines: (1 << 32) + 1,
+            ..TemporalStreamConfig::pointer_chase("t", Pc::new(8), Addr::new(0), 20)
+        };
+        let _ = TemporalStream::new(cfg, 0);
     }
 
     #[test]
