@@ -4,9 +4,10 @@
 //! Unlike the figure binaries (which run a sweep to completion in one
 //! process), this binary drives its jobs through
 //! [`triangel_harness::Campaign`]: every simulation advances in
-//! segments, snapshots its full state under `--out-dir` after each, and
-//! resumes from the manifest on the next invocation. Killing the
-//! process at any point loses at most one segment per in-flight job.
+//! segments, checkpoints its full state into the result store at
+//! `--out-dir` after each, and resumes from those checkpoints on the
+//! next invocation. Killing the process at any point loses at most one
+//! segment per in-flight job.
 //!
 //! ```text
 //! campaign --figure features --scale full --out-dir campaign-out
@@ -21,17 +22,15 @@
 //!   accesses per core) or the figure's smoke scale.
 //! * `--jobs N` — worker threads (0 = one per core; results are
 //!   byte-identical whatever the value).
-//! * `--out-dir DIR` — snapshot/manifest/artefact directory (default
-//!   `campaign-out`). Re-running with the same directory resumes.
+//! * `--out-dir DIR` — the campaign's result store (default
+//!   `campaign-out`): finished reports, checkpoints, the `manifest.tsv`
+//!   view and the emitted artefacts. Re-running with the same directory
+//!   resumes; any figure binary run with `--store DIR` on it is served
+//!   the campaign's results.
 //! * `--segment N` — checkpoint interval in accesses per core.
 //! * `--max-segments K` — stop after K segments (forced interrupt; CI
 //!   uses this to exercise resume).
 //! * `--wall-budget-secs S` — stop issuing segments after S seconds.
-//! * `--store DIR` — bridge the campaign to the shared cross-process
-//!   result store: finished jobs found there are served without
-//!   executing (counted as loaded), and every report the campaign
-//!   completes is published back, so later sweeps and campaigns over
-//!   the same grid get hits.
 //! * `--trace PATH` — record the campaign's wall-time spans (one per
 //!   job and per executed segment, on named worker lanes) as Chrome
 //!   `trace_event` JSON for <https://ui.perfetto.dev>. Host-only:
@@ -70,7 +69,6 @@ struct Cli {
     segment: u64,
     max_segments: Option<u64>,
     wall_budget_secs: Option<u64>,
-    store: Option<PathBuf>,
     trace: Option<PathBuf>,
     quiet: bool,
 }
@@ -85,7 +83,6 @@ impl Default for Cli {
             segment: 250_000,
             max_segments: None,
             wall_budget_secs: None,
-            store: None,
             trace: None,
             quiet: false,
         }
@@ -138,15 +135,14 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<Cli, String> {
                         .map_err(|_| format!("bad --wall-budget-secs `{v}`"))?,
                 );
             }
-            "--store" => cli.store = Some(PathBuf::from(value("--store")?)),
             "--trace" => cli.trace = Some(PathBuf::from(value("--trace")?)),
             "--quiet" => cli.quiet = true,
             other => {
                 return Err(format!(
                     "unknown argument `{other}` (expected --figure features|spec, \
                      --scale full|smoke, --jobs N, --out-dir DIR, --segment N, \
-                     --max-segments K, --wall-budget-secs S, --store DIR, \
-                     --trace PATH, --quiet)"
+                     --max-segments K, --wall-budget-secs S, --trace PATH, \
+                     --quiet)"
                 ))
             }
         }
@@ -188,7 +184,14 @@ fn main() {
     let params = params_for(cli.figure, cli.scale);
     let grid = grid_for(cli.figure, params);
 
-    let mut opts = CampaignOptions::new(&cli.out_dir)
+    let store = triangel_harness::ResultStore::open(&cli.out_dir).unwrap_or_else(|e| {
+        eprintln!(
+            "cannot open the campaign store at {}: {e}",
+            cli.out_dir.display()
+        );
+        std::process::exit(2);
+    });
+    let mut opts = CampaignOptions::new(store)
         .workers(cli.jobs)
         .segment_accesses(cli.segment);
     if !cli.quiet {
@@ -199,16 +202,6 @@ fn main() {
     }
     if let Some(s) = cli.wall_budget_secs {
         opts = opts.wall_budget(Duration::from_secs(s));
-    }
-    let shared_store = cli.store.as_ref().map(|dir| {
-        let store = triangel_harness::ResultStore::open(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open result store at {}: {e}", dir.display());
-            std::process::exit(2);
-        });
-        std::sync::Arc::new(store)
-    });
-    if let Some(store) = &shared_store {
-        opts = opts.with_store(store.clone());
     }
     let trace = cli
         .trace
@@ -240,9 +233,7 @@ fn main() {
         s.accesses_run,
         t0.elapsed().as_secs_f64(),
     );
-    if let Some(store) = &shared_store {
-        eprintln!("[store] {}", store.stats().render());
-    }
+    eprintln!("[store] {}", opts.store.stats().render());
 
     // Written before any exit below: an interrupted campaign's trace is
     // exactly the one worth looking at.
@@ -323,8 +314,9 @@ fn main() {
         Figure::Features => "features",
         Figure::Spec => "spec",
     };
-    if let Err(e) = figures::emit_selected(&cli.out_dir, name, &outputs, true) {
-        eprintln!("failed to emit {name} to {}: {e}", cli.out_dir.display());
+    let out_dir = opts.store.dir();
+    if let Err(e) = figures::emit_selected(out_dir, name, &outputs, true) {
+        eprintln!("failed to emit {name} to {}: {e}", out_dir.display());
         std::process::exit(1);
     }
 }

@@ -3,25 +3,39 @@
 //! A [`Campaign`] runs [`JobSpec`]s like a [`crate::Sweep`] does, but
 //! in *segments*: each job's simulation advances
 //! [`CampaignOptions::segment_accesses`] accesses at a time through
-//! [`SimSession::run_segment`](triangel_sim::SimSession::run_segment), and after every segment the full
-//! simulation state is snapshotted to disk. Killing the process (or
-//! exhausting a segment/wall-clock budget) therefore loses at most one
-//! segment of work: re-running the same campaign with the same
-//! `out_dir` resumes every partial job from its snapshot and skips
-//! every finished job entirely, loading its persisted report instead.
+//! [`SimSession::run_segment`](triangel_sim::SimSession::run_segment),
+//! and after every segment the full simulation state is checkpointed.
+//! Killing the process (or exhausting a segment/wall-clock budget)
+//! therefore loses at most one segment of work: re-running the same
+//! campaign over the same store resumes every partial job from its
+//! checkpoint and skips every finished job entirely, loading its
+//! persisted report instead.
 //!
-//! On-disk layout under `out_dir`:
+//! The campaign directory *is* a [`ResultStore`], and every byte the
+//! campaign reads back passes the store envelope's checks (magic,
+//! format and snapshot versions, full-key echo, payload checksum):
 //!
-//! * `manifest.tsv` — one row per unique job: file stem (a hash of the
-//!   job key), status (`done`/`partial`), segments executed, accesses
-//!   executed, total accesses, and the full job key. Rewritten
-//!   atomically (write + rename) after every state change.
-//! * `<stem>.snap` — the latest session snapshot of a partial job
-//!   (the versioned binary format of [`SimSession::snapshot`](triangel_sim::SimSession::snapshot)).
-//!   Removed when the job completes.
-//! * `<stem>.report.bin` — the finished job's [`RunReport`], in the
-//!   same binary framing, so a resumed campaign reproduces its results
-//!   byte-identically without re-simulating.
+//! * `entries/<stem>.rpt` — finished jobs, published through
+//!   [`ResultStore::claim_blocking`] and
+//!   [`JobLease::publish`](triangel_store::JobLease::publish) exactly
+//!   as [`crate::Sweep`] publishes, so a sweep over the same directory
+//!   hits them and vice versa.
+//! * `snaps/<stem>.snap` — the latest checkpoint of a partial job,
+//!   written under the job's lease after every segment. An interrupted
+//!   job drops its lease unpublished, so the next claimant — this
+//!   process or another — resumes from the blob instead of duplicating
+//!   the work. The blob is deleted when the job publishes.
+//! * `manifest.tsv` — a human-readable view of that state, rewritten
+//!   atomically after every change: one row per job of this campaign
+//!   seen finished or checkpointed, with its file stem, status
+//!   (`done`/`partial`), segments executed, accesses executed, total
+//!   accesses, cumulative host wall-time in ms, and the full job key.
+//!   The view decides nothing; it is read back only to carry the
+//!   observational `segments` and `wall_ms` columns forward.
+//!
+//! A corrupt or stale entry or blob is discarded loudly (counted in
+//! [`StoreStats::discards`](triangel_store::StoreStats::discards)) and
+//! its job runs again from the start.
 //!
 //! Determinism: segmented execution is byte-identical to uninterrupted
 //! execution (the `snapshot_equivalence` suite pins this), and the
@@ -29,7 +43,8 @@
 //! output equals a clean run's whatever was interrupted and whatever
 //! `--jobs` is.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -37,13 +52,8 @@ use std::time::{Duration, Instant};
 
 use triangel_obs::TraceArg;
 use triangel_sim::RunReport;
-use triangel_store::{key_stem, write_atomic, ResultStore};
+use triangel_store::{write_atomic, Claim, ResultStore};
 use triangel_types::snap::SnapError;
-
-// The report framing grew up and moved out (to `triangel-store`, which
-// shares it between campaign artifacts and store entries); re-exported
-// here so existing callers keep working.
-pub use triangel_store::{report_from_bytes, report_to_bytes, REPORT_MAGIC, REPORT_VERSION};
 
 use crate::job::JobSpec;
 use crate::pool;
@@ -51,9 +61,8 @@ use crate::sweep::{JobError, Progress, ResultCache};
 
 /// Header line opening `manifest.tsv`. v2 inserts a `wall_ms` column
 /// (cumulative host wall-time spent executing the job, across every
-/// invocation that touched it) before the key; v1 rows are still
-/// accepted on load with `wall_ms = 0`. Wall-time is observational —
-/// it never enters content keys or resume decisions.
+/// invocation that touched it) before the key. Wall-time is
+/// observational — it never enters content keys or resume decisions.
 const MANIFEST_HEADER: &str = "# triangel campaign manifest v2";
 
 /// How a campaign executes.
@@ -63,15 +72,18 @@ pub struct CampaignOptions {
     pub workers: usize,
     /// Accesses per core to run per segment (the checkpoint interval).
     pub segment_accesses: u64,
-    /// Directory for snapshots, reports and the manifest.
-    pub out_dir: PathBuf,
+    /// The store holding every report and checkpoint the campaign
+    /// persists. The manifest view goes under its
+    /// [`dir`](ResultStore::dir), and any sweep opened on the same
+    /// directory shares the campaign's results.
+    pub store: Arc<ResultStore>,
     /// Per-segment progress reporting.
     pub progress: Progress,
     /// Maximum segments to execute across the whole invocation
     /// (`None` = unlimited). When the budget runs out, in-flight jobs
     /// checkpoint and report [`JobOutcome::Interrupted`]; a later run
-    /// with the same `out_dir` picks them up where they stopped. This
-    /// is also how tests and CI force a mid-flight "kill".
+    /// over the same store picks them up where they stopped. This is
+    /// also how tests and CI force a mid-flight "kill".
     pub max_segments: Option<u64>,
     /// Wall-clock budget for this invocation (`None` = unlimited).
     /// Checked between segments; the campaign checkpoints and stops
@@ -82,27 +94,20 @@ pub struct CampaignOptions {
     /// observational: tracing never changes what is simulated or
     /// persisted.
     pub trace: Option<Arc<triangel_obs::TraceBuffer>>,
-    /// Shared cross-process [`ResultStore`]. When set, the campaign
-    /// serves finished jobs from the store (counted as `loaded`, like
-    /// its private `--out-dir` reports) and publishes every report it
-    /// finishes — or has finished — back into it, so a later sweep or
-    /// campaign over the same grid is all hits.
-    pub store: Option<Arc<ResultStore>>,
 }
 
 impl CampaignOptions {
-    /// A campaign writing under `out_dir`, with one worker per core,
+    /// A campaign persisting into `store`, with one worker per core,
     /// 250k-access segments, and no budgets.
-    pub fn new(out_dir: impl Into<PathBuf>) -> Self {
+    pub fn new(store: impl Into<Arc<ResultStore>>) -> Self {
         CampaignOptions {
             workers: 0,
             segment_accesses: 250_000,
-            out_dir: out_dir.into(),
+            store: store.into(),
             progress: Progress::Silent,
             max_segments: None,
             wall_budget: None,
             trace: None,
-            store: None,
         }
     }
 
@@ -153,14 +158,6 @@ impl CampaignOptions {
         self.trace = Some(trace);
         self
     }
-
-    /// Bridges this campaign to a shared cross-process [`ResultStore`]
-    /// (see [`CampaignOptions::store`]).
-    #[must_use]
-    pub fn with_store(mut self, store: Arc<ResultStore>) -> Self {
-        self.store = Some(store);
-        self
-    }
 }
 
 /// What happened to one job of a campaign invocation.
@@ -170,7 +167,7 @@ pub enum JobOutcome {
     /// is available.
     Done(Arc<RunReport>),
     /// The job was checkpointed mid-run when a budget ran out; a later
-    /// invocation with the same `out_dir` resumes it.
+    /// invocation over the same store resumes it.
     Interrupted {
         /// Accesses per core executed so far.
         executed: u64,
@@ -239,9 +236,9 @@ impl CampaignReport {
     }
 }
 
-/// One manifest row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ManifestEntry {
+/// One manifest row (the key is the map key).
+#[derive(Debug)]
+struct ManifestRow {
     stem: String,
     done: bool,
     segments: u64,
@@ -250,97 +247,69 @@ struct ManifestEntry {
     /// Cumulative host wall-time spent simulating this job, summed
     /// across every invocation that advanced it. Observational only.
     wall_ms: u64,
-    key: String,
 }
 
-/// The persisted campaign state: key → entry, mirrored to
-/// `manifest.tsv` after every change.
-#[derive(Debug, Default)]
-struct Manifest {
-    entries: HashMap<String, ManifestEntry>,
+/// `manifest.tsv`: a view of the campaign's store state, rewritten
+/// after every change. Only the observational columns of the previous
+/// view are read back.
+#[derive(Debug)]
+struct ManifestView {
+    path: PathBuf,
+    /// `(segments, wall_ms)` per key, carried from the previous view.
+    carried: HashMap<String, (u64, u64)>,
+    rows: Mutex<BTreeMap<String, ManifestRow>>,
 }
 
-impl Manifest {
-    fn load(path: &Path) -> std::io::Result<Manifest> {
-        let mut m = Manifest::default();
-        let text = match std::fs::read_to_string(path) {
+impl ManifestView {
+    fn open(dir: &Path) -> std::io::Result<ManifestView> {
+        let path = dir.join("manifest.tsv");
+        let text = match std::fs::read_to_string(&path) {
             Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(m),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
             Err(e) => return Err(e),
         };
-        for line in text.lines().filter(|l| !l.starts_with('#')) {
-            let fields: Vec<&str> = line.splitn(7, '\t').collect();
-            // v1 rows carry six columns; v2 inserts `wall_ms` before
-            // the key. Distinguish by field count so a v2 binary
-            // resumes a v1 campaign directory in place.
-            let (stem, status, segments, executed, total, wall_ms, key) = match fields.as_slice() {
-                [stem, status, segments, executed, total, key] => {
-                    (*stem, *status, *segments, *executed, *total, "0", *key)
-                }
-                [stem, status, segments, executed, total, wall_ms, key] => {
-                    (*stem, *status, *segments, *executed, *total, *wall_ms, *key)
-                }
-                _ => continue, // tolerate a torn final line from a hard kill
-            };
-            let (Ok(segments), Ok(executed), Ok(total), Ok(wall_ms)) = (
-                segments.parse(),
-                executed.parse(),
-                total.parse(),
-                wall_ms.parse(),
-            ) else {
-                continue;
-            };
-            m.entries.insert(
-                key.to_string(),
-                ManifestEntry {
-                    stem: stem.to_string(),
-                    done: status == "done",
-                    segments,
-                    executed,
-                    total,
-                    wall_ms,
-                    key: key.to_string(),
-                },
+        let carried = text
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .filter_map(|line| {
+                // Anything but a well-formed v2 row (a torn final line
+                // from a hard kill, an older layout) carries nothing.
+                let fields: Vec<&str> = line.splitn(7, '\t').collect();
+                let [_, _, segments, _, _, wall_ms, key] = fields.as_slice() else {
+                    return None;
+                };
+                Some((
+                    key.to_string(),
+                    (segments.parse().ok()?, wall_ms.parse().ok()?),
+                ))
+            })
+            .collect();
+        Ok(ManifestView {
+            path,
+            carried,
+            rows: Mutex::default(),
+        })
+    }
+
+    /// The `(segments, wall_ms)` an earlier invocation recorded.
+    fn carried(&self, key: &str) -> (u64, u64) {
+        self.carried.get(key).copied().unwrap_or_default()
+    }
+
+    fn record(&self, key: &str, row: ManifestRow) {
+        let mut rows = self.rows.lock().unwrap();
+        rows.insert(key.to_string(), row);
+        let mut out = format!("{MANIFEST_HEADER}\n");
+        for (key, r) in rows.iter() {
+            let status = if r.done { "done" } else { "partial" };
+            let _ = writeln!(
+                out,
+                "{}\t{status}\t{}\t{}\t{}\t{}\t{key}",
+                r.stem, r.segments, r.executed, r.total, r.wall_ms
             );
         }
-        Ok(m)
-    }
-
-    fn render(&self) -> String {
-        let mut rows: Vec<&ManifestEntry> = self.entries.values().collect();
-        rows.sort_unstable_by(|a, b| a.key.cmp(&b.key));
-        let mut out = String::from(MANIFEST_HEADER);
-        out.push('\n');
-        for e in rows {
-            out.push_str(&format!(
-                "{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-                e.stem,
-                if e.done { "done" } else { "partial" },
-                e.segments,
-                e.executed,
-                e.total,
-                e.wall_ms,
-                e.key,
-            ));
-        }
-        out
-    }
-}
-
-/// Shared mutable campaign state: the manifest plus its path, guarded
-/// so workers can checkpoint concurrently.
-struct ManifestStore {
-    path: PathBuf,
-    manifest: Mutex<Manifest>,
-}
-
-impl ManifestStore {
-    fn update(&self, entry: ManifestEntry) {
-        let mut m = self.manifest.lock().unwrap();
-        m.entries.insert(entry.key.clone(), entry);
-        let rendered = m.render();
         // Persist while holding the lock so renders never interleave.
-        if let Err(e) = write_atomic(&self.path, rendered.as_bytes()) {
+        if let Err(e) = write_atomic(&self.path, out.as_bytes()) {
             eprintln!("[campaign] manifest write failed: {e}");
         }
     }
@@ -358,12 +327,6 @@ impl Campaign {
         Campaign::default()
     }
 
-    /// Adds a job, returning its index in the report.
-    pub fn push(&mut self, job: JobSpec) -> usize {
-        self.jobs.push(job);
-        self.jobs.len() - 1
-    }
-
     /// Adds a job, builder-style.
     #[must_use]
     pub fn job(mut self, job: JobSpec) -> Self {
@@ -378,32 +341,21 @@ impl Campaign {
         self
     }
 
-    /// The submitted job list.
-    pub fn job_list(&self) -> &[JobSpec] {
-        &self.jobs
-    }
-
     /// Runs (or resumes) the campaign.
     ///
-    /// Jobs already finished under `opts.out_dir` load their persisted
-    /// reports without executing; partially finished jobs restore their
-    /// snapshots and continue from the interrupted segment. The
+    /// Jobs already finished in `opts.store` load their reports without
+    /// executing; partially finished jobs restore their checkpoints and
+    /// continue from the interrupted segment. Every job is claimed
+    /// through the store before it runs, so concurrent campaigns (or
+    /// sweeps) over one directory execute each segment once. The
     /// assembled results are byte-identical to a clean, uninterrupted
     /// run of the same job list.
     ///
     /// # Errors
     ///
-    /// I/O errors preparing the output directory or reading the
-    /// manifest. Per-job failures are reported in the outcomes, not
-    /// here.
+    /// I/O errors reading the previous manifest view. Per-job failures
+    /// are reported in the outcomes, not here.
     pub fn run(&self, opts: &CampaignOptions) -> std::io::Result<CampaignReport> {
-        std::fs::create_dir_all(&opts.out_dir)?;
-        let manifest_path = opts.out_dir.join("manifest.tsv");
-        let store = ManifestStore {
-            manifest: Mutex::new(Manifest::load(&manifest_path)?),
-            path: manifest_path,
-        };
-
         let keys: Vec<String> = self.jobs.iter().map(JobSpec::key).collect();
 
         // Dedup to unique keys, preserving first-occurrence order.
@@ -416,31 +368,23 @@ impl Campaign {
             }
         }
 
-        let segment_budget = AtomicI64::new(match opts.max_segments {
-            Some(n) => i64::try_from(n).unwrap_or(i64::MAX),
-            None => i64::MAX,
-        });
-        let deadline = opts.wall_budget.map(|b| Instant::now() + b);
-        let segments_run = AtomicU64::new(0);
-        let accesses_run = AtomicU64::new(0);
-        let loaded = AtomicU64::new(0);
-        let resumed = AtomicU64::new(0);
-
+        let inv = Invocation {
+            opts,
+            view: ManifestView::open(opts.store.dir())?,
+            segment_budget: AtomicI64::new(match opts.max_segments {
+                Some(n) => i64::try_from(n).unwrap_or(i64::MAX),
+                None => i64::MAX,
+            }),
+            deadline: opts.wall_budget.map(|b| Instant::now() + b),
+            segments_run: AtomicU64::new(0),
+            accesses_run: AtomicU64::new(0),
+            loaded: AtomicU64::new(0),
+            resumed: AtomicU64::new(0),
+        };
         let outcomes: Vec<JobOutcome> =
             pool::run_indexed(unique.len(), opts.workers_effective(), |i| {
                 let (job, key) = unique[i];
-                self.run_one(
-                    job,
-                    key,
-                    opts,
-                    &store,
-                    &segment_budget,
-                    deadline,
-                    &segments_run,
-                    &accesses_run,
-                    &loaded,
-                    &resumed,
-                )
+                inv.run_job(job, key)
             });
 
         // Publish finished reports to a cache keyed like sweeps are.
@@ -455,25 +399,17 @@ impl Campaign {
             .iter()
             .map(|key| outcomes[slot_of_key[key.as_str()]].clone())
             .collect();
+        let count = |pred: fn(&JobOutcome) -> bool| outcomes.iter().filter(|o| pred(o)).count();
         let stats = CampaignStats {
             jobs: self.jobs.len(),
             unique: unique.len(),
-            completed: outcomes
-                .iter()
-                .filter(|o| matches!(o, JobOutcome::Done(_)))
-                .count(),
-            loaded: loaded.load(Ordering::Relaxed) as usize,
-            resumed: resumed.load(Ordering::Relaxed) as usize,
-            interrupted: outcomes
-                .iter()
-                .filter(|o| matches!(o, JobOutcome::Interrupted { .. }))
-                .count(),
-            segments_run: segments_run.load(Ordering::Relaxed),
-            accesses_run: accesses_run.load(Ordering::Relaxed),
-            errors: outcomes
-                .iter()
-                .filter(|o| matches!(o, JobOutcome::Failed(_)))
-                .count(),
+            completed: count(|o| matches!(o, JobOutcome::Done(_))),
+            loaded: inv.loaded.load(Ordering::Relaxed) as usize,
+            resumed: inv.resumed.load(Ordering::Relaxed) as usize,
+            interrupted: count(|o| matches!(o, JobOutcome::Interrupted { .. })),
+            segments_run: inv.segments_run.load(Ordering::Relaxed),
+            accesses_run: inv.accesses_run.load(Ordering::Relaxed),
+            errors: count(|o| matches!(o, JobOutcome::Failed(_))),
         };
         Ok(CampaignReport {
             outcomes: results,
@@ -482,24 +418,30 @@ impl Campaign {
             cache,
         })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn run_one(
-        &self,
-        job: &JobSpec,
-        key: &str,
-        opts: &CampaignOptions,
-        store: &ManifestStore,
-        segment_budget: &AtomicI64,
-        deadline: Option<Instant>,
-        segments_run: &AtomicU64,
-        accesses_run: &AtomicU64,
-        loaded: &AtomicU64,
-        resumed: &AtomicU64,
-    ) -> JobOutcome {
-        let stem = key_stem(key);
-        let snap_path = opts.out_dir.join(format!("{stem}.snap"));
-        let report_path = opts.out_dir.join(format!("{stem}.report.bin"));
+/// One [`Campaign::run`]: its options, budgets, counters and manifest
+/// view, shared by every worker.
+struct Invocation<'a> {
+    opts: &'a CampaignOptions,
+    view: ManifestView,
+    segment_budget: AtomicI64,
+    deadline: Option<Instant>,
+    segments_run: AtomicU64,
+    accesses_run: AtomicU64,
+    loaded: AtomicU64,
+    resumed: AtomicU64,
+}
+
+impl Invocation<'_> {
+    fn run_job(&self, job: &JobSpec, key: &str) -> JobOutcome {
+        let opts = self.opts;
+        let store = &*opts.store;
+        let stem = store.stem(key);
+        let total = job.params.warmup + job.params.accesses;
+        // Observational columns earlier invocations recorded; this
+        // invocation's segments accumulate on top.
+        let (carried_segments, mut wall_ms) = self.view.carried(key);
         let progress = opts.progress == Progress::Stderr;
         let trace = opts.trace.as_deref();
         let job_start = trace.map(|t| t.now_us());
@@ -518,153 +460,86 @@ impl Campaign {
                 );
             }
         };
-
-        // Finished in an earlier invocation: load the persisted report.
-        let prior = {
-            let m = store.manifest.lock().unwrap();
-            m.entries.get(key).cloned()
-        };
-        // Wall-time already spent on this job by earlier invocations;
-        // this invocation's segments accumulate on top.
-        let mut wall_ms = prior.as_ref().map_or(0, |e| e.wall_ms);
-        if let Some(entry) = &prior {
-            if entry.done {
-                match std::fs::read(&report_path)
-                    .map_err(|e| SnapError::corrupt(e.to_string()))
-                    .and_then(|b| report_from_bytes(&b))
-                {
-                    Ok(report) => {
-                        loaded.fetch_add(1, Ordering::Relaxed);
-                        let report = Arc::new(report);
-                        // Bridge to the shared store: a report this
-                        // campaign already owns becomes a hit for every
-                        // other process sweeping the same grid.
-                        if let Some(shared) = &opts.store {
-                            if shared.get(key).is_none() {
-                                shared.put(key, &report);
-                            }
-                        }
-                        if progress {
-                            eprintln!("[campaign] loaded  {key}");
-                        }
-                        job_span("loaded");
-                        return JobOutcome::Done(report);
-                    }
-                    Err(e) => {
-                        // Stale or corrupt artifact: re-run from scratch.
-                        eprintln!("[campaign] discarding report for {key}: {e}");
-                    }
-                }
-            }
-        }
-
-        let mut session = match job.session() {
-            Ok(s) => s,
-            Err(e) => {
-                job_span("failed");
-                return JobOutcome::Failed(JobError {
-                    key: key.to_string(),
-                    message: e.to_string(),
-                });
-            }
-        };
-        let total = session.total_accesses();
-        let mut segments_done = 0u64;
-
-        // Finished by some *other* process sharing the store: persist
-        // its report as our own artifact and serve it without
-        // simulating — the cross-process analogue of the
-        // report-loaded path above.
-        if let Some(report) = opts.store.as_ref().and_then(|s| s.get(key)) {
-            if let Err(e) = write_atomic(&report_path, &report_to_bytes(&report)) {
-                eprintln!("[campaign] report write failed for {key}: {e}");
-            }
-            store.update(ManifestEntry {
-                stem: stem.clone(),
-                done: true,
-                segments: 0,
-                executed: total,
-                total,
-                wall_ms,
+        let failed = |message: String| {
+            job_span("failed");
+            JobOutcome::Failed(JobError {
                 key: key.to_string(),
-            });
-            let _ = std::fs::remove_file(&snap_path);
-            loaded.fetch_add(1, Ordering::Relaxed);
-            if progress {
-                eprintln!("[campaign] loaded  {key} (from store)");
-            }
-            job_span("loaded");
-            return JobOutcome::Done(report);
-        }
-
-        // Partially finished earlier: restore the checkpoint.
-        if let Some(entry) = prior.filter(|e| !e.done) {
-            match std::fs::read(&snap_path)
-                .map_err(|e| SnapError::corrupt(e.to_string()))
-                .and_then(|b| session.restore(&b))
-            {
-                Ok(()) => {
-                    segments_done = entry.segments;
-                    resumed.fetch_add(1, Ordering::Relaxed);
-                    if progress {
-                        eprintln!(
-                            "[campaign] resumed {key} at {}/{total}",
-                            session.executed_accesses()
-                        );
-                    }
-                }
-                Err(e) => {
-                    eprintln!("[campaign] discarding snapshot for {key}: {e}");
-                    session = match job.session() {
-                        Ok(s) => s,
-                        Err(e) => {
-                            job_span("failed");
-                            return JobOutcome::Failed(JobError {
-                                key: key.to_string(),
-                                message: e.to_string(),
-                            });
-                        }
-                    };
-                }
-            }
-        }
-
-        // Whether this session's state can be checkpointed at all
-        // (custom boxed sources cannot); decided on first attempt.
-        let mut checkpointable = true;
-        // Segments executed by *this* invocation: a budget that bites
-        // before the first one means nothing changed on disk, so no
-        // snapshot or manifest write is owed.
-        let mut ran_this_invocation = false;
-        let checkpoint = |done: bool, segments: u64, executed: u64, wall_ms: u64| {
-            store.update(ManifestEntry {
+                message,
+            })
+        };
+        let record = |done: bool, segments: u64, executed: u64, wall_ms: u64| {
+            let row = ManifestRow {
                 stem: stem.clone(),
                 done,
                 segments,
                 executed,
                 total,
                 wall_ms,
-                key: key.to_string(),
-            });
+            };
+            self.view.record(key, row);
         };
 
-        while !session.is_complete() {
-            let out_of_budget = segment_budget.fetch_sub(1, Ordering::SeqCst) <= 0
-                || deadline.is_some_and(|d| Instant::now() >= d);
-            if out_of_budget {
-                if ran_this_invocation {
-                    if checkpointable {
-                        match session.snapshot() {
-                            Ok(bytes) => {
-                                if let Err(e) = write_atomic(&snap_path, &bytes) {
-                                    eprintln!("[campaign] checkpoint write failed for {key}: {e}");
-                                }
-                            }
-                            Err(e) => eprintln!("[campaign] checkpoint failed for {key}: {e}"),
-                        }
-                    }
-                    checkpoint(false, segments_done, session.executed_accesses(), wall_ms);
+        // Finished earlier (by a campaign or a sweep), or by another
+        // process while we waited for the job's lease.
+        let claim = match store.get(key) {
+            Some(report) => Ok(Claim::Hit(report)),
+            None => store.claim_blocking(key),
+        };
+        let lease = match claim {
+            Ok(Claim::Lease(lease)) => lease,
+            Ok(Claim::Hit(report)) => {
+                self.loaded.fetch_add(1, Ordering::Relaxed);
+                record(true, carried_segments, total, wall_ms);
+                if progress {
+                    eprintln!("[campaign] loaded  {key}");
                 }
+                job_span("loaded");
+                return JobOutcome::Done(report);
+            }
+            Err(e) => return failed(format!("cannot claim the job in the store: {e}")),
+        };
+
+        let mut session = match job.session() {
+            Ok(s) => s,
+            Err(e) => return failed(e.to_string()),
+        };
+        let mut segments_done = 0u64;
+
+        // Partially finished earlier: restore the checkpoint. A blob
+        // the session rejects may have half-restored it, so a rejected
+        // restore rebuilds the session from the spec.
+        let mut attempted = false;
+        let restored = lease.load_snapshot(|bytes| {
+            attempted = true;
+            session.restore(bytes)
+        });
+        if restored.is_some() {
+            segments_done = carried_segments;
+            self.resumed.fetch_add(1, Ordering::Relaxed);
+            record(false, segments_done, session.executed_accesses(), wall_ms);
+            if progress {
+                eprintln!(
+                    "[campaign] resumed {key} at {}/{total}",
+                    session.executed_accesses()
+                );
+            }
+        } else if attempted {
+            session = match job.session() {
+                Ok(s) => s,
+                Err(e) => return failed(e.to_string()),
+            };
+        }
+
+        // Whether this session's state can be checkpointed at all
+        // (custom boxed sources cannot); decided on first attempt.
+        let mut checkpointable = true;
+        while !session.is_complete() {
+            let out_of_budget = self.segment_budget.fetch_sub(1, Ordering::SeqCst) <= 0
+                || self.deadline.is_some_and(|d| Instant::now() >= d);
+            if out_of_budget {
+                // The last segment's checkpoint already holds this
+                // state; dropping the lease unpublished hands the job
+                // to the next claimant.
                 if progress {
                     eprintln!(
                         "[campaign] paused  {key} at {}/{total} (budget exhausted)",
@@ -698,9 +573,8 @@ impl Campaign {
                 );
             }
             segments_done += 1;
-            ran_this_invocation = true;
-            segments_run.fetch_add(1, Ordering::Relaxed);
-            accesses_run.fetch_add(ran, Ordering::Relaxed);
+            self.segments_run.fetch_add(1, Ordering::Relaxed);
+            self.accesses_run.fetch_add(ran, Ordering::Relaxed);
             if progress {
                 eprintln!(
                     "[campaign] segment {key} {}/{total} ({:.0}%)",
@@ -711,13 +585,12 @@ impl Campaign {
 
             if !session.is_complete() && checkpointable {
                 match session.snapshot() {
-                    Ok(bytes) => {
-                        if let Err(e) = write_atomic(&snap_path, &bytes) {
-                            eprintln!("[campaign] checkpoint write failed for {key}: {e}");
-                        } else {
-                            checkpoint(false, segments_done, session.executed_accesses(), wall_ms);
+                    Ok(bytes) => match lease.save_snapshot(&bytes) {
+                        Ok(()) => {
+                            record(false, segments_done, session.executed_accesses(), wall_ms)
                         }
-                    }
+                        Err(e) => eprintln!("[campaign] checkpoint write failed for {key}: {e}"),
+                    },
                     Err(SnapError::Unsupported(why)) => {
                         // Run on without checkpoints rather than fail.
                         eprintln!("[campaign] {key}: not checkpointable ({why})");
@@ -729,14 +602,8 @@ impl Campaign {
         }
 
         let report = Arc::new(session.report());
-        if let Err(e) = write_atomic(&report_path, &report_to_bytes(&report)) {
-            eprintln!("[campaign] report write failed for {key}: {e}");
-        }
-        if let Some(shared) = &opts.store {
-            shared.put(key, &report);
-        }
-        checkpoint(true, segments_done, total, wall_ms);
-        let _ = std::fs::remove_file(&snap_path);
+        lease.publish(&report);
+        record(true, segments_done, total, wall_ms);
         if progress {
             eprintln!("[campaign] done    {key}");
         }
@@ -759,84 +626,66 @@ impl CampaignOptions {
 mod tests {
     use super::*;
 
-    #[test]
-    fn key_stems_are_stable_and_distinct() {
-        let a = key_stem("spec:Xalan|pf=Triangel");
-        assert_eq!(a, key_stem("spec:Xalan|pf=Triangel"));
-        assert_ne!(a, key_stem("spec:Xalan|pf=Triage"));
-        assert_eq!(a.len(), 16);
+    fn scratch(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("triangel-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn row(done: bool, segments: u64, executed: u64, wall_ms: u64) -> ManifestRow {
+        ManifestRow {
+            stem: "abc".into(),
+            done,
+            segments,
+            executed,
+            total: 1000,
+            wall_ms,
+        }
     }
 
     #[test]
-    fn manifest_round_trips() {
-        let mut m = Manifest::default();
-        m.entries.insert(
-            "k1".into(),
-            ManifestEntry {
-                stem: "abc".into(),
-                done: false,
-                segments: 3,
-                executed: 750,
-                total: 1000,
-                wall_ms: 412,
-                key: "k1".into(),
-            },
+    fn manifest_view_renders_v2_and_carries_observational_columns() {
+        let dir = scratch("manifest");
+        let view = ManifestView::open(&dir).unwrap();
+        view.record("k1", row(false, 3, 750, 412));
+        view.record("k2", row(true, 4, 1000, 0));
+        let text = std::fs::read_to_string(dir.join("manifest.tsv")).unwrap();
+        assert_eq!(
+            text,
+            format!(
+                "{MANIFEST_HEADER}\n\
+                 abc\tpartial\t3\t750\t1000\t412\tk1\n\
+                 abc\tdone\t4\t1000\t1000\t0\tk2\n"
+            )
         );
-        m.entries.insert(
-            "k2".into(),
-            ManifestEntry {
-                stem: "def".into(),
-                done: true,
-                segments: 4,
-                executed: 1000,
-                total: 1000,
-                wall_ms: 0,
-                key: "k2".into(),
-            },
-        );
-        let rendered = m.render();
-        assert!(rendered.starts_with(MANIFEST_HEADER));
-        let dir = std::env::temp_dir().join(format!("triangel-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.tsv");
-        write_atomic(&path, rendered.as_bytes()).unwrap();
-        let loaded = Manifest::load(&path).unwrap();
-        assert_eq!(loaded.entries.get("k1"), m.entries.get("k1"));
-        assert_eq!(loaded.entries.get("k2"), m.entries.get("k2"));
+        // Re-opened, the view carries only `segments` and `wall_ms`.
+        let reopened = ManifestView::open(&dir).unwrap();
+        assert_eq!(reopened.carried("k1"), (3, 412));
+        assert_eq!(reopened.carried("k2"), (4, 0));
+        assert_eq!(reopened.carried("absent"), (0, 0));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn v1_manifest_rows_load_with_zero_wall_time() {
-        // A manifest written by a pre-wall-time binary resumes in
-        // place: six-column rows parse with `wall_ms = 0`.
-        let dir = std::env::temp_dir().join(format!("triangel-manifest-v1-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("manifest.tsv");
-        let v1 = "# triangel campaign manifest v1\n\
-                  abc\tpartial\t3\t750\t1000\tk1\n\
-                  def\tdone\t4\t1000\t1000\tk2\n";
-        write_atomic(&path, v1.as_bytes()).unwrap();
-        let loaded = Manifest::load(&path).unwrap();
-        assert_eq!(loaded.entries.len(), 2);
-        let k1 = loaded.entries.get("k1").unwrap();
-        assert_eq!((k1.segments, k1.executed, k1.wall_ms), (3, 750, 0));
-        assert!(loaded.entries.get("k2").unwrap().done);
-        // Rendering upgrades the directory to the v2 schema.
-        assert!(loaded.render().starts_with(MANIFEST_HEADER));
+    fn malformed_or_missing_manifest_carries_nothing() {
+        let dir = scratch("manifest-v1");
+        assert!(ManifestView::open(&dir).unwrap().carried.is_empty());
+        // Six-column (pre-wall-time) rows and torn lines are ignored.
+        std::fs::write(
+            dir.join("manifest.tsv"),
+            "# triangel campaign manifest v1\nabc\tpartial\t3\t750\t1000\tk1\ndef\tdo",
+        )
+        .unwrap();
+        assert!(ManifestView::open(&dir).unwrap().carried.is_empty());
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn missing_manifest_is_empty() {
-        let m = Manifest::load(Path::new("/nonexistent/manifest.tsv")).unwrap();
-        assert!(m.entries.is_empty());
     }
 
     #[test]
     fn sampled_report_framing_round_trips() {
         use crate::{JobSpec, RunParams, WorkloadSpec};
         use triangel_sim::PrefetcherChoice;
+        use triangel_store::{report_from_bytes, report_to_bytes};
         use triangel_workloads::spec::SpecWorkload;
 
         let job = JobSpec::new(

@@ -1,12 +1,16 @@
 //! Campaign crash-resume semantics: killing a sweep mid-flight and
-//! re-running with the same `--out-dir` must produce byte-identical
-//! results to a clean run, without re-executing completed work.
+//! re-running over the same store must produce byte-identical results
+//! to a clean run, without re-executing completed work — and every
+//! persisted byte the campaign reads back must pass the store
+//! envelope's checks, so tampered state is discarded, never served.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use triangel_harness::{
-    Campaign, CampaignOptions, JobOutcome, JobSpec, RunParams, Sweep, SweepOptions, WorkloadSpec,
+    Campaign, CampaignOptions, JobOutcome, JobSpec, ResultStore, RunParams, Sweep, SweepOptions,
+    WorkloadSpec,
 };
 use triangel_sim::PrefetcherChoice;
 use triangel_workloads::spec::SpecWorkload;
@@ -42,6 +46,26 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
+/// Campaign options over a fresh handle on the store at `dir`.
+fn opts(dir: &Path) -> CampaignOptions {
+    CampaignOptions::new(ResultStore::open(dir).unwrap())
+}
+
+/// The same jobs through the ordinary (non-segmented) sweep scheduler,
+/// rendered like [`render`]: every campaign must agree with it exactly.
+fn sweep_reference(job_list: &[JobSpec]) -> BTreeMap<String, String> {
+    let sweep = job_list
+        .iter()
+        .fold(Sweep::new(), |s, j| s.job(j.clone()))
+        .run(&SweepOptions::serial());
+    sweep
+        .keys
+        .iter()
+        .zip(&sweep.results)
+        .map(|(k, r)| (k.clone(), format!("{:?}", r.as_ref().unwrap())))
+        .collect()
+}
+
 /// Every finished report, rendered exhaustively, keyed by job key.
 fn render(report: &triangel_harness::CampaignReport) -> BTreeMap<String, String> {
     report
@@ -63,28 +87,13 @@ fn interrupted_campaign_resumes_byte_identically() {
     let job_list = jobs();
     let total_segments = job_list.len() as u64 * (WARMUP + ACCESSES).div_ceil(SEGMENT);
 
-    // Reference: the same jobs through the ordinary (non-segmented)
-    // sweep scheduler — the campaign must agree with it exactly.
-    let sweep = job_list
-        .iter()
-        .fold(Sweep::new(), |s, j| s.job(j.clone()))
-        .run(&SweepOptions::serial());
-    let reference: BTreeMap<String, String> = sweep
-        .keys
-        .iter()
-        .zip(&sweep.results)
-        .map(|(k, r)| (k.clone(), format!("{:?}", r.as_ref().unwrap())))
-        .collect();
+    let reference = sweep_reference(&job_list);
 
     // Clean, uninterrupted campaign.
     let clean_dir = scratch_dir("clean");
     let clean = Campaign::new()
         .jobs(job_list.clone())
-        .run(
-            &CampaignOptions::new(&clean_dir)
-                .workers(1)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&clean_dir).workers(1).segment_accesses(SEGMENT))
         .unwrap();
     assert!(clean.is_complete());
     assert_eq!(clean.stats.segments_run, total_segments);
@@ -95,7 +104,7 @@ fn interrupted_campaign_resumes_byte_identically() {
     let interrupted = Campaign::new()
         .jobs(job_list.clone())
         .run(
-            &CampaignOptions::new(&dir)
+            &opts(&dir)
                 .workers(2)
                 .segment_accesses(SEGMENT)
                 .max_segments(7),
@@ -120,11 +129,7 @@ fn interrupted_campaign_resumes_byte_identically() {
     // partial jobs resume from their snapshots.
     let resumed = Campaign::new()
         .jobs(job_list.clone())
-        .run(
-            &CampaignOptions::new(&dir)
-                .workers(2)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&dir).workers(2).segment_accesses(SEGMENT))
         .unwrap();
     assert!(resumed.is_complete());
     assert_eq!(
@@ -149,11 +154,7 @@ fn interrupted_campaign_resumes_byte_identically() {
     // A third invocation is all cache hits: nothing executes.
     let warm = Campaign::new()
         .jobs(job_list)
-        .run(
-            &CampaignOptions::new(&dir)
-                .workers(1)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&dir).workers(1).segment_accesses(SEGMENT))
         .unwrap();
     assert_eq!(warm.stats.segments_run, 0);
     assert_eq!(warm.stats.loaded, warm.stats.unique);
@@ -170,19 +171,11 @@ fn campaign_parallelism_does_not_change_results() {
     let d8 = scratch_dir("j8");
     let serial = Campaign::new()
         .jobs(job_list.clone())
-        .run(
-            &CampaignOptions::new(&d1)
-                .workers(1)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&d1).workers(1).segment_accesses(SEGMENT))
         .unwrap();
     let parallel = Campaign::new()
         .jobs(job_list)
-        .run(
-            &CampaignOptions::new(&d8)
-                .workers(8)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&d8).workers(8).segment_accesses(SEGMENT))
         .unwrap();
     assert_eq!(render(&serial), render(&parallel));
     let _ = std::fs::remove_dir_all(&d1);
@@ -197,11 +190,7 @@ fn campaign_cache_slots_into_sweep_folds() {
     let dir = scratch_dir("cache");
     let campaign = Campaign::new()
         .jobs(job_list.clone())
-        .run(
-            &CampaignOptions::new(&dir)
-                .workers(1)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&dir).workers(1).segment_accesses(SEGMENT))
         .unwrap();
     let sweep = job_list
         .iter()
@@ -215,10 +204,10 @@ fn campaign_cache_slots_into_sweep_folds() {
 #[test]
 fn report_bytes_round_trip() {
     let report = jobs()[0].run().unwrap();
-    let bytes = triangel_harness::campaign::report_to_bytes(&report);
-    let parsed = triangel_harness::campaign::report_from_bytes(&bytes).unwrap();
+    let bytes = triangel_store::report_to_bytes(&report);
+    let parsed = triangel_store::report_from_bytes(&bytes).unwrap();
     assert_eq!(format!("{report:?}"), format!("{parsed:?}"));
-    assert!(triangel_harness::campaign::report_from_bytes(&bytes[..bytes.len() - 2]).is_err());
+    assert!(triangel_store::report_from_bytes(&bytes[..bytes.len() - 2]).is_err());
 }
 
 /// The acceptance bar: snapshot/restore/continue on the *golden
@@ -250,23 +239,10 @@ fn golden_sweeps_survive_interrupt_and_resume_at_jobs_1_and_8() {
         ),
     ] {
         let job_list: Vec<JobSpec> = sweep.jobs().to_vec();
-        let reference: BTreeMap<String, String> = {
-            let report = job_list
-                .iter()
-                .fold(Sweep::new(), |s, j| s.job(j.clone()))
-                .run(&SweepOptions::serial());
-            report
-                .keys
-                .iter()
-                .zip(&report.results)
-                .map(|(k, r)| (k.clone(), format!("{:?}", r.as_ref().unwrap())))
-                .collect()
-        };
+        let reference = sweep_reference(&job_list);
         let dir = scratch_dir(tag);
-        let opts = |budget: Option<u64>| {
-            let mut o = CampaignOptions::new(&dir)
-                .workers(workers)
-                .segment_accesses(segment);
+        let options = |budget: Option<u64>| {
+            let mut o = opts(&dir).workers(workers).segment_accesses(segment);
             if let Some(b) = budget {
                 o = o.max_segments(b);
             }
@@ -274,10 +250,10 @@ fn golden_sweeps_survive_interrupt_and_resume_at_jobs_1_and_8() {
         };
         let first = Campaign::new()
             .jobs(job_list.clone())
-            .run(&opts(Some(5)))
+            .run(&options(Some(5)))
             .unwrap();
         assert!(!first.is_complete(), "{tag}: interrupt must bite");
-        let resumed = Campaign::new().jobs(job_list).run(&opts(None)).unwrap();
+        let resumed = Campaign::new().jobs(job_list).run(&options(None)).unwrap();
         assert!(resumed.is_complete(), "{tag}");
         assert_eq!(render(&resumed), reference, "{tag} diverged");
         let _ = std::fs::remove_dir_all(&dir);
@@ -324,22 +300,13 @@ fn mid_trace_interrupt_resumes_byte_identically() {
         ));
     }
 
-    let sweep = job_list
-        .iter()
-        .fold(Sweep::new(), |s, j| s.job(j.clone()))
-        .run(&SweepOptions::serial());
-    let reference: BTreeMap<String, String> = sweep
-        .keys
-        .iter()
-        .zip(&sweep.results)
-        .map(|(k, r)| (k.clone(), format!("{:?}", r.as_ref().unwrap())))
-        .collect();
+    let reference = sweep_reference(&job_list);
 
     let dir = scratch_dir("trace-resume");
     let interrupted = Campaign::new()
         .jobs(job_list.clone())
         .run(
-            &CampaignOptions::new(&dir)
+            &opts(&dir)
                 .workers(1)
                 .segment_accesses(SEGMENT)
                 .max_segments(4),
@@ -363,11 +330,7 @@ fn mid_trace_interrupt_resumes_byte_identically() {
 
     let resumed = Campaign::new()
         .jobs(job_list)
-        .run(
-            &CampaignOptions::new(&dir)
-                .workers(1)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&dir).workers(1).segment_accesses(SEGMENT))
         .unwrap();
     assert!(resumed.is_complete());
     assert_eq!(
@@ -380,69 +343,39 @@ fn mid_trace_interrupt_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The campaign ↔ store bridge, both directions: a campaign publishes
-/// everything it finishes into the shared store (so sweeps and other
-/// campaigns hit), and a campaign over a fresh `--out-dir` is served
-/// from the store without running a single segment.
+/// One directory, two front ends: a campaign's store is the store a
+/// sweep reads, and a sweep's publishes serve a campaign — a campaign,
+/// then a sweep, then a second campaign over one directory execute
+/// nothing after the first.
 #[test]
-fn campaign_bridges_the_shared_store_both_ways() {
-    use std::sync::Arc;
-    use triangel_harness::ResultStore;
-
-    let store_dir = scratch_dir("bridge-store");
+fn campaign_and_sweep_share_one_store() {
+    let dir = scratch_dir("shared-store");
     let job_list = jobs();
 
-    // Campaign A executes everything and publishes into the store.
-    let store_a = Arc::new(ResultStore::open(&store_dir).unwrap());
-    let dir_a = scratch_dir("bridge-a");
-    let a = Campaign::new()
+    let first = Campaign::new()
         .jobs(job_list.clone())
-        .run(
-            &CampaignOptions::new(&dir_a)
-                .workers(2)
-                .segment_accesses(SEGMENT)
-                .with_store(Arc::clone(&store_a)),
-        )
+        .run(&opts(&dir).workers(2).segment_accesses(SEGMENT))
         .expect("campaign io");
-    assert_eq!(a.stats.completed, a.stats.unique);
-    assert_eq!(
-        store_a.stats().inserts() as usize,
-        job_list.len(),
-        "every completed job must publish into the store"
-    );
+    assert_eq!(first.stats.completed, first.stats.unique);
 
-    // A plain sweep over the same directory executes nothing.
     let sweep = job_list
         .iter()
         .fold(Sweep::new(), |s, j| s.job(j.clone()))
-        .run(&SweepOptions::serial().with_store(Arc::new(ResultStore::open(&store_dir).unwrap())));
+        .run(&SweepOptions::serial().with_store(Arc::new(ResultStore::open(&dir).unwrap())));
     assert_eq!(
         sweep.stats.executed, 0,
-        "sweep must be served from the campaign's publishes"
+        "sweep must hit the campaign's entries"
     );
 
-    // Campaign B, fresh out-dir, same store: all loads, zero segments,
-    // byte-identical outcomes.
-    let dir_b = scratch_dir("bridge-b");
-    let b = Campaign::new()
+    let second = Campaign::new()
         .jobs(job_list)
-        .run(
-            &CampaignOptions::new(&dir_b)
-                .workers(1)
-                .segment_accesses(SEGMENT)
-                .with_store(Arc::new(ResultStore::open(&store_dir).unwrap())),
-        )
+        .run(&opts(&dir).workers(1).segment_accesses(SEGMENT))
         .expect("campaign io");
-    assert_eq!(
-        b.stats.loaded, b.stats.unique,
-        "store must serve the whole campaign"
-    );
-    assert_eq!(b.stats.segments_run, 0);
-    assert_eq!(render(&a), render(&b));
+    assert_eq!(second.stats.loaded, second.stats.unique);
+    assert_eq!(second.stats.segments_run, 0);
+    assert_eq!(render(&first), render(&second));
 
-    for dir in [&store_dir, &dir_a, &dir_b] {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -470,24 +403,14 @@ fn heterogeneous_multicore_job_resumes_byte_identically() {
     ]);
     let job_list = vec![JobSpec::new(workload, PrefetcherChoice::Triangel, params()).with_cores(3)];
 
-    // Reference: the ordinary sweep scheduler.
-    let sweep = job_list
-        .iter()
-        .fold(Sweep::new(), |s, j| s.job(j.clone()))
-        .run(&SweepOptions::serial());
-    let reference: BTreeMap<String, String> = sweep
-        .keys
-        .iter()
-        .zip(&sweep.results)
-        .map(|(k, r)| (k.clone(), format!("{:?}", r.as_ref().unwrap())))
-        .collect();
+    let reference = sweep_reference(&job_list);
 
     // Interrupt after 1 segment, then resume with the same out-dir.
     let dir = scratch_dir("hetero");
     let interrupted = Campaign::new()
         .jobs(job_list.clone())
         .run(
-            &CampaignOptions::new(&dir)
+            &opts(&dir)
                 .workers(1)
                 .segment_accesses(SEGMENT)
                 .max_segments(1),
@@ -496,11 +419,7 @@ fn heterogeneous_multicore_job_resumes_byte_identically() {
     assert!(!interrupted.is_complete(), "budget must bite");
     let resumed = Campaign::new()
         .jobs(job_list)
-        .run(
-            &CampaignOptions::new(&dir)
-                .workers(1)
-                .segment_accesses(SEGMENT),
-        )
+        .run(&opts(&dir).workers(1).segment_accesses(SEGMENT))
         .unwrap();
     assert!(resumed.is_complete());
     assert_eq!(resumed.stats.resumed, 1, "the job must resume, not restart");
@@ -511,5 +430,220 @@ fn heterogeneous_multicore_job_resumes_byte_identically() {
     );
 
     let _ = std::fs::remove_dir_all(&trace_dir);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Segments each job of [`jobs`] takes at [`SEGMENT`].
+const SEGMENTS_PER_JOB: u64 = (WARMUP + ACCESSES).div_ceil(SEGMENT);
+
+/// The store files of one kind (`entries` or `snaps`), sorted.
+fn store_files(dir: &Path, kind: &str) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join(kind))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    files.sort();
+    files
+}
+
+/// Flips one byte mid-file, inside the payload's counters — a value
+/// that still parses, so only the envelope checksum can catch it.
+fn flip_payload_byte(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let idx = bytes.len() / 2;
+    bytes[idx] ^= 0x40;
+    std::fs::write(path, bytes).unwrap();
+}
+
+fn truncate(path: &Path) {
+    let bytes = std::fs::read(path).unwrap();
+    std::fs::write(path, &bytes[..bytes.len() / 2]).unwrap();
+}
+
+/// Corruption matrix, finished state: tampered report entries are
+/// discarded (one discard per file) and their jobs re-run, and the
+/// results equal a clean run's.
+#[test]
+fn tampered_entries_are_discarded_and_rerun() {
+    let job_list = jobs();
+    let reference = sweep_reference(&job_list);
+    let dir = scratch_dir("matrix-entries");
+    let clean = Campaign::new()
+        .jobs(job_list.clone())
+        .run(&opts(&dir).workers(1).segment_accesses(SEGMENT))
+        .unwrap();
+    assert_eq!(render(&clean), reference);
+
+    let entries = store_files(&dir, "entries");
+    assert_eq!(entries.len(), job_list.len());
+    let tampered: Vec<&PathBuf> = entries.iter().step_by(2).collect();
+    for path in &tampered {
+        flip_payload_byte(path);
+    }
+
+    let rerun_opts = opts(&dir).workers(1).segment_accesses(SEGMENT);
+    let rerun = Campaign::new().jobs(job_list).run(&rerun_opts).unwrap();
+    assert_eq!(
+        rerun_opts.store.stats().discards(),
+        tampered.len() as u64,
+        "every tampered entry must be discarded"
+    );
+    assert_eq!(rerun.stats.loaded, entries.len() - tampered.len());
+    assert_eq!(
+        rerun.stats.segments_run,
+        tampered.len() as u64 * SEGMENTS_PER_JOB
+    );
+    assert_eq!(render(&rerun), reference, "tampered entries were served");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Corruption matrix, partial state: a bit-flipped or truncated
+/// checkpoint blob is discarded, its job restarts, and the resumed
+/// campaign equals a clean run.
+#[test]
+fn tampered_snapshots_are_discarded_and_restarted() {
+    let job_list = jobs();
+    let reference = sweep_reference(&job_list);
+    let total_segments = job_list.len() as u64 * SEGMENTS_PER_JOB;
+    for (tag, tamper) in [
+        ("matrix-snap-bitflip", flip_payload_byte as fn(&Path)),
+        ("matrix-snap-truncate", truncate),
+    ] {
+        let dir = scratch_dir(tag);
+        // One worker runs jobs in order: the first finishes in three
+        // segments and the fourth checkpoints the second.
+        let interrupted = Campaign::new()
+            .jobs(job_list.clone())
+            .run(
+                &opts(&dir)
+                    .workers(1)
+                    .segment_accesses(SEGMENT)
+                    .max_segments(SEGMENTS_PER_JOB + 1),
+            )
+            .unwrap();
+        assert_eq!(interrupted.stats.completed, 1, "{tag}");
+        let snaps = store_files(&dir, "snaps");
+        assert_eq!(snaps.len(), 1, "{tag}: one job must have checkpointed");
+        tamper(&snaps[0]);
+
+        let resume_opts = opts(&dir).workers(1).segment_accesses(SEGMENT);
+        let resumed = Campaign::new()
+            .jobs(job_list.clone())
+            .run(&resume_opts)
+            .unwrap();
+        assert_eq!(resume_opts.store.stats().discards(), 1, "{tag}");
+        assert_eq!(resumed.stats.resumed, 0, "{tag}: the blob must not restore");
+        assert_eq!(
+            interrupted.stats.segments_run + resumed.stats.segments_run,
+            total_segments + 1,
+            "{tag}: exactly the discarded checkpoint's segment re-runs"
+        );
+        assert!(store_files(&dir, "snaps").is_empty(), "{tag}");
+        assert_eq!(render(&resumed), reference, "{tag} diverged");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Corruption matrix, forced stem collision: with every key hashed to
+/// one stem, the entries and checkpoints of distinct jobs share probe
+/// chains. Removing a slot (a job publishing, a discard) must not
+/// strand the keys behind it: every checkpoint still restores, and a
+/// tampered entry costs exactly its own job.
+#[test]
+fn forced_stem_collisions_keep_every_key_reachable() {
+    let job_list = jobs();
+    let reference = sweep_reference(&job_list);
+    let total_segments = job_list.len() as u64 * SEGMENTS_PER_JOB;
+    let dir = scratch_dir("matrix-collide");
+    let colliding = || {
+        CampaignOptions::new(ResultStore::open_with_stem_bits(&dir, 0).unwrap())
+            .workers(1)
+            .segment_accesses(SEGMENT)
+    };
+
+    // Checkpoint three jobs one segment in: three blobs in one chain.
+    for job in &job_list[..3] {
+        let partial = Campaign::new()
+            .job(job.clone())
+            .run(&colliding().max_segments(1))
+            .unwrap();
+        assert!(!partial.is_complete());
+    }
+    assert_eq!(store_files(&dir, "snaps").len(), 3);
+
+    // The first job to finish vacates slot 0; the others must still
+    // find their blobs.
+    let resume_opts = colliding();
+    let resumed = Campaign::new()
+        .jobs(job_list.clone())
+        .run(&resume_opts)
+        .unwrap();
+    assert_eq!(resume_opts.store.stats().discards(), 0);
+    assert_eq!(resumed.stats.resumed, 3, "a checkpoint was stranded");
+    assert_eq!(resumed.stats.segments_run, total_segments - 3);
+    assert!(store_files(&dir, "snaps").is_empty());
+    assert_eq!(render(&resumed), reference);
+
+    // Every entry sits in the one stem's chain; tampering with the
+    // head slot costs exactly that job.
+    let entries = store_files(&dir, "entries");
+    assert_eq!(entries.len(), job_list.len());
+    let head = dir.join("entries").join(format!("{:016x}.rpt", 0u64));
+    flip_payload_byte(&head);
+    let rerun_opts = colliding();
+    let rerun = Campaign::new().jobs(job_list).run(&rerun_opts).unwrap();
+    assert_eq!(rerun_opts.store.stats().discards(), 1);
+    assert_eq!(rerun.stats.loaded, entries.len() - 1);
+    assert_eq!(rerun.stats.segments_run, SEGMENTS_PER_JOB);
+    assert_eq!(store_files(&dir, "entries"), entries);
+    assert_eq!(render(&rerun), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two campaigns racing over one directory on separate store handles
+/// (`flock` contends per handle, as between processes) run every
+/// segment exactly once between them: each job executes under one
+/// campaign's lease and loads in the other. A campaign interrupted
+/// mid-job hands its checkpoint to the other, which resumes it.
+#[test]
+fn concurrent_campaigns_run_each_segment_once() {
+    let job_list = jobs();
+    let reference = sweep_reference(&job_list);
+    let total_segments = job_list.len() as u64 * SEGMENTS_PER_JOB;
+    let race = |dir: &Path, budget_a: Option<u64>| {
+        let run = |budget: Option<u64>| {
+            let mut o = opts(dir).workers(2).segment_accesses(SEGMENT);
+            if let Some(b) = budget {
+                o = o.max_segments(b);
+            }
+            Campaign::new().jobs(job_list.clone()).run(&o).unwrap()
+        };
+        std::thread::scope(|s| {
+            let a = s.spawn(|| run(budget_a));
+            let b = s.spawn(|| run(None));
+            (a.join().unwrap(), b.join().unwrap())
+        })
+    };
+
+    let dir = scratch_dir("claim-race");
+    let (a, b) = race(&dir, None);
+    assert_eq!(
+        a.stats.segments_run + b.stats.segments_run,
+        total_segments,
+        "a segment ran twice"
+    );
+    assert_eq!(a.stats.loaded + b.stats.loaded, job_list.len());
+    assert_eq!(render(&a), reference);
+    assert_eq!(render(&b), reference);
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = scratch_dir("claim-handoff");
+    let (a, b) = race(&dir, Some(4));
+    assert_eq!(
+        a.stats.segments_run + b.stats.segments_run,
+        total_segments,
+        "an interrupted job's segments re-ran"
+    );
+    assert_eq!(render(&b), reference);
     let _ = std::fs::remove_dir_all(&dir);
 }

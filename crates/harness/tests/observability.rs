@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use triangel_harness::{emit, Campaign, CampaignOptions, JobOutcome, Sweep, SweepOptions};
+use triangel_harness::{
+    emit, Campaign, CampaignOptions, JobOutcome, ResultStore, Sweep, SweepOptions,
+};
 use triangel_obs::IntervalSeries;
 
 /// Sampling period for the golden-scale runs: coarse enough to keep
@@ -94,7 +96,7 @@ fn campaign_resume_reproduces_the_sampled_series() {
     let _ = std::fs::remove_dir_all(&dir);
 
     let interrupted = Campaign::new().job(job.clone()).run(
-        &CampaignOptions::new(&dir)
+        &CampaignOptions::new(ResultStore::open(&dir).unwrap())
             .workers(1)
             .segment_accesses(1_500)
             .max_segments(2),
@@ -108,7 +110,7 @@ fn campaign_resume_reproduces_the_sampled_series() {
     let resumed = Campaign::new()
         .job(job.clone())
         .run(
-            &CampaignOptions::new(&dir)
+            &CampaignOptions::new(ResultStore::open(&dir).unwrap())
                 .workers(1)
                 .segment_accesses(1_500),
         )
@@ -125,7 +127,7 @@ fn campaign_resume_reproduces_the_sampled_series() {
     // the series intact, executing nothing.
     let loaded = Campaign::new()
         .job(job)
-        .run(&CampaignOptions::new(&dir).workers(1))
+        .run(&CampaignOptions::new(ResultStore::open(&dir).unwrap()).workers(1))
         .expect("campaign io");
     assert_eq!(loaded.stats.loaded, 1);
     assert_eq!(loaded.stats.segments_run, 0);
@@ -210,7 +212,7 @@ fn traced_campaign_emits_valid_spans_without_changing_results() {
     let plain = Campaign::new()
         .job(job.clone())
         .run(
-            &CampaignOptions::new(&plain_dir)
+            &CampaignOptions::new(ResultStore::open(&plain_dir).unwrap())
                 .workers(1)
                 .segment_accesses(2_000),
         )
@@ -220,7 +222,7 @@ fn traced_campaign_emits_valid_spans_without_changing_results() {
     let traced = Campaign::new()
         .job(job)
         .run(
-            &CampaignOptions::new(&traced_dir)
+            &CampaignOptions::new(ResultStore::open(&traced_dir).unwrap())
                 .workers(1)
                 .segment_accesses(2_000)
                 .with_trace(Arc::clone(&trace)),

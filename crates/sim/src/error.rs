@@ -6,7 +6,7 @@ use std::fmt;
 /// Why an experiment specification could not be run.
 ///
 /// Returned by [`crate::Engine::try_new`] and
-/// [`crate::Experiment::try_run`] so that batch drivers (the
+/// [`crate::SimSessionBuilder::build`] so that batch drivers (the
 /// `triangel-harness` scheduler in particular) can report a bad job
 /// without aborting a whole sweep.
 #[derive(Debug, Clone, PartialEq, Eq)]

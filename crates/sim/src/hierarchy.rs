@@ -129,7 +129,7 @@ impl MemorySystem {
     /// Compatibility shim: every prefetcher is wrapped in
     /// [`PrefetcherImpl::Dyn`], so this path keeps the virtual call per
     /// training event. The default pipeline
-    /// ([`SimSession`](crate::SimSession), [`crate::Experiment`]) uses
+    /// ([`SimSession`](crate::SimSession)) uses
     /// [`MemorySystem::with_prefetchers`] with enum-dispatched
     /// prefetchers instead.
     ///

@@ -47,21 +47,21 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod choice;
 mod config;
 mod dispatch;
 mod engine;
 mod error;
-mod experiment;
 mod hierarchy;
 mod metrics;
 pub mod report;
 mod session;
 
+pub use choice::PrefetcherChoice;
 pub use config::{ContentionConfig, SystemConfig};
 pub use dispatch::PrefetcherImpl;
 pub use engine::Engine;
 pub use error::SimError;
-pub use experiment::{Experiment, PrefetcherChoice};
 pub use hierarchy::{CoreStats, MemorySystem};
 pub use metrics::{Comparison, CoreReport, RunReport};
 pub use session::{SimSession, SimSessionBuilder, SNAPSHOT_VERSION};

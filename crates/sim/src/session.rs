@@ -9,15 +9,12 @@
 //! ([`PrefetcherImpl`](crate::PrefetcherImpl)), and cache replacement is
 //! enum-dispatched inside the caches themselves, so no `dyn` call
 //! remains on the per-access hot path.
-//!
-//! The older [`Experiment`](crate::Experiment) builder is now a thin
-//! wrapper over this type; its panicking `run()` is deprecated.
 
+use crate::choice::PrefetcherChoice;
 use crate::config::SystemConfig;
 use crate::dispatch::PrefetcherImpl;
 use crate::engine::Engine;
 use crate::error::SimError;
-use crate::experiment::PrefetcherChoice;
 use crate::hierarchy::MemorySystem;
 use crate::metrics::RunReport;
 use triangel_core::TriangelFeatures;
@@ -539,6 +536,65 @@ mod tests {
         assert!(r.ipc() > 0.0);
         assert!(r.dram_reads() > 0);
         assert_eq!(r.cores.len(), 1);
+    }
+
+    #[test]
+    fn triangel_speeds_up_pointer_chase() {
+        // A strict pointer chase over 50k lines: far beyond L2/L3, well
+        // within Markov capacity, fully dependent. This is the
+        // textbook case where a temporal prefetcher must win.
+        let run = |choice| {
+            SimSession::builder()
+                .workload(chase(50_000))
+                .warmup(300_000)
+                .accesses(200_000)
+                .sizing_window(60_000)
+                .prefetcher(choice)
+                .run()
+                .unwrap()
+        };
+        let base = run(PrefetcherChoice::Baseline);
+        let tri = run(PrefetcherChoice::Triangel);
+        let c = crate::Comparison::new(&base, &tri);
+        assert!(
+            c.speedup > 1.05,
+            "Triangel should accelerate a strict chase, got {:.3}",
+            c.speedup
+        );
+        assert!(c.accuracy > 0.5, "accuracy {:.3}", c.accuracy);
+    }
+
+    #[test]
+    fn core_count_mismatch_is_a_typed_error() {
+        use triangel_prefetch::NullPrefetcher;
+        // Two cores' worth of prefetchers, one trace source.
+        let system = MemorySystem::new(
+            SystemConfig::paper_dual_core(),
+            vec![Box::new(NullPrefetcher), Box::new(NullPrefetcher)],
+        );
+        let err = Engine::try_new(
+            system,
+            vec![Box::new(chase(1_000))],
+            PageMapper::realistic(1),
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert_eq!(
+            err,
+            SimError::CoreCountMismatch {
+                cores: 2,
+                sources: 1
+            }
+        );
+
+        let system = MemorySystem::new(
+            SystemConfig::paper_single_core(),
+            vec![Box::new(NullPrefetcher)],
+        );
+        let err = Engine::try_new(system, vec![], PageMapper::realistic(1))
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err, SimError::NoSources);
     }
 
     #[test]

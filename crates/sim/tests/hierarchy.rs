@@ -1,7 +1,7 @@
 //! Direct tests of the memory system and timing engine.
 
 use triangel_prefetch::{NullPrefetcher, Prefetcher};
-use triangel_sim::{Engine, Experiment, MemorySystem, PrefetcherChoice, SystemConfig};
+use triangel_sim::{Engine, MemorySystem, PrefetcherChoice, SimSession, SystemConfig};
 use triangel_types::{Addr, LineAddr, Pc};
 use triangel_workloads::paging::PageMapper;
 use triangel_workloads::temporal::StridedStream;
@@ -174,18 +174,19 @@ fn rob_bounds_memory_level_parallelism() {
 fn stride_prefetcher_in_baseline_covers_streaming() {
     // A pure streaming scan: baseline (with its stride prefetcher)
     // should enjoy far fewer L2 demand misses than the raw access count.
-    let r = Experiment::new(StridedStream::new(
-        "scan",
-        Pc::new(0x8),
-        Addr::new(1 << 30),
-        1,
-        20_000, // fits the L3, so prefetch fills are not DRAM-bound
-    ))
-    .warmup(50_000)
-    .accesses(100_000)
-    .prefetcher(PrefetcherChoice::Baseline)
-    .try_run()
-    .unwrap();
+    let r = SimSession::builder()
+        .workload(StridedStream::new(
+            "scan",
+            Pc::new(0x8),
+            Addr::new(1 << 30),
+            1,
+            20_000, // fits the L3, so prefetch fills are not DRAM-bound
+        ))
+        .warmup(50_000)
+        .accesses(100_000)
+        .prefetcher(PrefetcherChoice::Baseline)
+        .run()
+        .unwrap();
     // The scan consumes one line per access, which exceeds the DRAM
     // channel's sustainable rate, so full coverage is impossible; the
     // stride prefetcher should still hide a healthy fraction.

@@ -1,10 +1,8 @@
-//! Binary framing for persisted [`RunReport`]s.
-//!
-//! This is the on-disk report format shared by the campaign runner
-//! (`<stem>.report.bin` artifacts) and the [`crate::ResultStore`]
-//! entries. Version 2 appends the
-//! optional interval time-series, so sampled jobs persist (and are
-//! served) with their recorded series intact.
+//! Binary framing for persisted [`RunReport`]s: the payload of every
+//! [`crate::ResultStore`] entry, whether a sweep or a campaign
+//! published it. Version 2 appends the optional interval time-series,
+//! so sampled jobs persist (and are served) with their recorded series
+//! intact.
 
 use triangel_sim::RunReport;
 use triangel_types::snap::{snap_check, SnapError, SnapReader, SnapWriter, Snapshot};

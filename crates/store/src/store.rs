@@ -20,13 +20,6 @@ pub const ENTRY_MAGIC: [u8; 8] = *b"TRGLSTO\0";
 /// persisted report). Bumped when the envelope layout changes.
 pub const STORE_FORMAT_VERSION: u32 = 1;
 
-/// FNV-1a over the job key: the stable file stem for a job's
-/// artifacts. Shared with the campaign runner so a campaign directory
-/// and a store directory name the same job the same way.
-pub fn key_stem(key: &str) -> String {
-    format!("{:016x}", fnv1a(key.as_bytes()))
-}
-
 /// FNV-1a 64-bit hash (also the entry payload checksum).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -39,12 +32,20 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// Atomically replaces `path` with `bytes` (write to a sibling temp
 /// file, then rename), so a kill mid-write never corrupts an artifact.
+/// The temp name is unique per call, so concurrent writers of one path
+/// (threads or processes) never share a half-written temp file: the
+/// last rename wins whole.
 ///
 /// # Errors
 ///
 /// The underlying filesystem error.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
     {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
@@ -79,7 +80,8 @@ impl StoreStats {
         self.inserts.load(Ordering::Relaxed)
     }
 
-    /// Corrupt or stale entries discarded (each one was re-executed).
+    /// Corrupt or stale files discarded: report entries (each one was
+    /// re-executed) and checkpoint blobs (each job restarted).
     pub fn discards(&self) -> u64 {
         self.discards.load(Ordering::Relaxed)
     }
@@ -121,6 +123,12 @@ pub enum Claim<'a> {
 /// job's lock file. Held for the duration of the simulation; the lock
 /// releases when the lease drops (including on panic or process
 /// death), so a crashed writer never wedges the store.
+///
+/// The lease also guards the job's checkpoint blob: a resumable runner
+/// [`saves`](JobLease::save_snapshot) its partial state under the
+/// lease and drops it unpublished when interrupted, and the next
+/// claimant — this process or another —
+/// [`loads`](JobLease::load_snapshot) the blob and continues.
 pub struct JobLease<'a> {
     store: &'a ResultStore,
     key: String,
@@ -134,12 +142,45 @@ impl JobLease<'_> {
         &self.key
     }
 
-    /// Publishes the finished report under the leased key, then
-    /// releases the lock. Publish-before-unlock is the exactly-once
-    /// guarantee: a writer blocked on our lock re-checks the store the
-    /// moment it acquires it, and finds this entry.
+    /// Reads the job's checkpoint blob and hands its payload to
+    /// `restore`. `None` when there is no blob; a blob that fails the
+    /// envelope checks, or that `restore` rejects, is discarded loudly
+    /// (counted in [`StoreStats::discards`]) and also reads as `None`,
+    /// so the caller starts the job over.
+    pub fn load_snapshot<T>(
+        &self,
+        restore: impl FnOnce(&[u8]) -> Result<T, SnapError>,
+    ) -> Option<T> {
+        let (slot, payload) = self.store.find(Kind::Snapshot, &self.key).ok()?;
+        match restore(&payload) {
+            Ok(value) => Some(value),
+            Err(e) => {
+                self.store.discard(Kind::Snapshot, &self.key, slot, &e);
+                None
+            }
+        }
+    }
+
+    /// Atomically replaces the job's checkpoint blob with `bytes`,
+    /// wrapped in the entry envelope.
+    ///
+    /// # Errors
+    ///
+    /// The underlying filesystem error.
+    pub fn save_snapshot(&self, bytes: &[u8]) -> io::Result<()> {
+        self.store.write(Kind::Snapshot, &self.key, bytes)
+    }
+
+    /// Publishes the finished report under the leased key, deletes the
+    /// job's checkpoint blob, then releases the lock.
+    /// Publish-before-unlock is the exactly-once guarantee: a writer
+    /// blocked on our lock re-checks the store the moment it acquires
+    /// it, and finds this entry.
     pub fn publish(self, report: &RunReport) {
         self.store.put(&self.key, report);
+        if let Ok((slot, _)) = self.store.find(Kind::Snapshot, &self.key) {
+            self.store.remove_slot(Kind::Snapshot, &self.key, slot);
+        }
     }
 }
 
@@ -149,25 +190,29 @@ impl JobLease<'_> {
 /// in-process `ResultCache` uses) to a framed [`RunReport`], interval
 /// series included. Layout under the store directory:
 ///
-/// * `entries/<stem>.rpt` — one entry per job, `<stem>` the FNV-1a of
-///   the key ([`key_stem`]). Written atomically (temp + rename) and
-///   self-checking: envelope magic + versions, the full key (collision
-///   guard), and a payload checksum.
+/// * `entries/<stem>.rpt` — one entry per finished job, `<stem>` the
+///   FNV-1a of the key ([`ResultStore::stem`]). Written atomically
+///   (temp + rename) and self-checking: envelope magic + versions, the
+///   full key (collision guard), and a payload checksum.
+/// * `snaps/<stem>.snap` — the checkpoint blob of a partially executed
+///   job, in the same envelope around a session snapshot. Written and
+///   read only under the job's lease; deleted when the job publishes.
 /// * `locks/<stem>.lock` — empty `flock(2)` rendezvous files for
 ///   cross-process claim coordination.
 /// * `store.meta` — human-readable version banner.
 ///
-/// Entries record both [`STORE_FORMAT_VERSION`] and the simulator's
-/// [`SNAPSHOT_VERSION`]: an entry written by a build whose simulation
-/// semantics differ is *stale*, discarded loudly, and re-executed —
-/// the same resume semantics the campaign runner pins.
+/// Both kinds record [`STORE_FORMAT_VERSION`] and the simulator's
+/// [`SNAPSHOT_VERSION`]: a file written by a build whose simulation
+/// semantics differ is *stale*, discarded loudly, and re-executed.
 ///
 /// Distinct keys can hash to the same stem. Colliding keys probe
 /// suffixed slots (`entries/<stem>-1.rpt`, `-2`, … up to
 /// [`MAX_STEM_PROBES`]): a read walks the slots until it finds its own
-/// key or an absent file, and a publish lands in the first slot that
-/// is free or already holds its key. Both colliding keys therefore
-/// stay cached instead of overwriting each other on every publish.
+/// key or an absent file, and a write lands in the first slot that is
+/// free or already holds its key. Both colliding keys therefore stay
+/// stored instead of overwriting each other on every publish. Removing
+/// a slot moves the stem's last slot into the hole, so the slots stay
+/// contiguous and no key is stranded behind a gap.
 #[derive(Debug)]
 pub struct ResultStore {
     dir: PathBuf,
@@ -208,7 +253,9 @@ impl ResultStore {
             (1u64 << bits) - 1
         };
         let dir = dir.into();
-        std::fs::create_dir_all(dir.join("entries"))?;
+        for kind in [Kind::Entry, Kind::Snapshot] {
+            std::fs::create_dir_all(dir.join(kind.dir()))?;
+        }
         std::fs::create_dir_all(dir.join("locks"))?;
         let meta_path = dir.join("store.meta");
         let banner =
@@ -246,23 +293,25 @@ impl ResultStore {
         &self.stats
     }
 
-    fn stem(&self, key: &str) -> String {
+    /// The file stem naming `key`'s store files: the FNV-1a of the key,
+    /// truncated to the store's stem width.
+    pub fn stem(&self, key: &str) -> String {
         format!("{:016x}", fnv1a(key.as_bytes()) & self.stem_mask)
     }
 
     /// The entry file for `key`'s first probe slot (colliding keys may
     /// live in suffixed siblings; see the type docs).
     pub fn entry_path(&self, key: &str) -> PathBuf {
-        self.slot_path(&self.stem(key), 0)
+        self.slot_path(Kind::Entry, &self.stem(key), 0)
     }
 
-    fn slot_path(&self, stem: &str, slot: usize) -> PathBuf {
+    fn slot_path(&self, kind: Kind, stem: &str, slot: usize) -> PathBuf {
         let name = if slot == 0 {
-            format!("{stem}.rpt")
+            format!("{stem}.{}", kind.ext())
         } else {
-            format!("{stem}-{slot}.rpt")
+            format!("{stem}-{slot}.{}", kind.ext())
         };
-        self.dir.join("entries").join(name)
+        self.dir.join(kind.dir()).join(name)
     }
 
     fn lock_path(&self, key: &str) -> PathBuf {
@@ -289,29 +338,7 @@ impl ResultStore {
     /// never over another key's valid entry (unless every slot is
     /// taken by colliding keys, where the last slot is sacrificed).
     pub fn put(&self, key: &str, report: &RunReport) {
-        let stem = self.stem(key);
-        let mut slot = MAX_STEM_PROBES - 1;
-        for probe in 0..MAX_STEM_PROBES {
-            match std::fs::read(self.slot_path(&stem, probe)) {
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                    slot = probe;
-                    break;
-                }
-                Ok(bytes) => match entry_from_bytes(key, &bytes) {
-                    Ok(None) => continue, // another key's valid entry
-                    Ok(Some(_)) | Err(_) => {
-                        slot = probe;
-                        break;
-                    }
-                },
-                Err(_) => {
-                    slot = probe;
-                    break;
-                }
-            }
-        }
-        let path = self.slot_path(&stem, slot);
-        match write_atomic(&path, &entry_to_bytes(key, report)) {
+        match self.write(Kind::Entry, key, &report_to_bytes(report)) {
             Ok(()) => {
                 self.stats.inserts.fetch_add(1, Ordering::Relaxed);
             }
@@ -352,43 +379,99 @@ impl ResultStore {
         }))
     }
 
-    /// Reads and validates the entry for `key`, without counting.
-    /// Probes the stem's suffixed slots past colliding keys' entries
-    /// (which stay untouched) until it finds its own key or an absent
-    /// slot.
+    /// Reads and validates the entry for `key`, without counting hits
+    /// or misses.
     fn read_entry(&self, key: &str) -> Option<Arc<RunReport>> {
-        let stem = self.stem(key);
-        for probe in 0..MAX_STEM_PROBES {
-            let path = self.slot_path(&stem, probe);
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                // A publish always lands in the first non-foreign slot,
-                // so an absent slot proves the key is not stored.
-                Err(e) if e.kind() == io::ErrorKind::NotFound => return None,
-                Err(e) => {
-                    eprintln!("[store] unreadable entry for {key}: {e}");
-                    return None;
-                }
-            };
-            match entry_from_bytes(key, &bytes) {
-                Ok(Some(report)) => return Some(Arc::new(report)),
-                Ok(None) => {
-                    // A different key hashed to this stem: someone
-                    // else's valid entry. Leave it alone and probe the
-                    // next suffixed slot; both keys stay cached.
-                    eprintln!(
-                        "[store] key-stem collision on {stem} (slot {probe}): probing next slot"
-                    );
-                }
-                Err(e) => {
-                    self.stats.discards.fetch_add(1, Ordering::Relaxed);
-                    eprintln!("[store] discarding entry for {key}: {e} (will re-execute)");
-                    let _ = std::fs::remove_file(&path);
-                    return None;
-                }
+        let (slot, payload) = self.find(Kind::Entry, key).ok()?;
+        match report_from_bytes(&payload) {
+            Ok(report) => Some(Arc::new(report)),
+            Err(e) => {
+                self.discard(Kind::Entry, key, slot, &e);
+                None
             }
         }
-        None
+    }
+
+    /// Walks `key`'s probe slots of `kind` past colliding keys' valid
+    /// files (which stay untouched), discarding corrupt or stale ones.
+    /// `Ok` carries the slot holding `key` and its envelope payload;
+    /// `Err` the slot a write for `key` should take.
+    fn find(&self, kind: Kind, key: &str) -> Result<(usize, Vec<u8>), usize> {
+        let stem = self.stem(key);
+        let mut slot = 0;
+        while slot < MAX_STEM_PROBES {
+            let bytes = match std::fs::read(self.slot_path(kind, &stem, slot)) {
+                Ok(b) => b,
+                // Slots are contiguous (see `remove_slot`), so an
+                // absent slot proves the key is not stored.
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(slot),
+                Err(e) => {
+                    eprintln!("[store] unreadable {} for {key}: {e}", kind.noun());
+                    return Err(slot);
+                }
+            };
+            match open_envelope(key, &bytes) {
+                Ok(Some(payload)) => return Ok((slot, payload.to_vec())),
+                Ok(None) => {
+                    // A different key hashed to this stem: someone
+                    // else's valid file. Leave it alone and probe the
+                    // next suffixed slot; both keys stay stored.
+                    eprintln!(
+                        "[store] key-stem collision on {stem} (slot {slot}): probing next slot"
+                    );
+                    slot += 1;
+                }
+                // The chain's last file now fills this slot: re-probe it.
+                Err(e) => self.discard(kind, key, slot, &e),
+            }
+        }
+        Err(MAX_STEM_PROBES - 1)
+    }
+
+    /// Loudly drops a corrupt or stale file found while probing for
+    /// `key`, counting the discard.
+    fn discard(&self, kind: Kind, key: &str, slot: usize, why: &SnapError) {
+        self.stats.discards.fetch_add(1, Ordering::Relaxed);
+        let consequence = match kind {
+            Kind::Entry => "will re-execute",
+            Kind::Snapshot => "job restarts",
+        };
+        eprintln!(
+            "[store] discarding {} for {key}: {why} ({consequence})",
+            kind.noun()
+        );
+        self.remove_slot(kind, key, slot);
+    }
+
+    /// Atomically writes `payload`, enveloped, into `key`'s slot of
+    /// `kind`: the slot already holding `key`, else the first free one.
+    fn write(&self, kind: Kind, key: &str, payload: &[u8]) -> io::Result<()> {
+        let slot = self
+            .find(kind, key)
+            .map_or_else(|free| free, |(slot, _)| slot);
+        let path = self.slot_path(kind, &self.stem(key), slot);
+        write_atomic(&path, &envelope(key, payload))
+    }
+
+    /// Deletes `slot` of `key`'s stem, moving the stem's last occupied
+    /// slot into the hole so the probe chain stays contiguous.
+    /// Callers hold the stem's lock, except when an unlocked
+    /// [`ResultStore::get`] discards a corrupt entry; a writer racing
+    /// that can lose work, never serve a wrong report, since every
+    /// read re-checks the key and checksum.
+    fn remove_slot(&self, kind: Kind, key: &str, slot: usize) {
+        let stem = self.stem(key);
+        let hole = self.slot_path(kind, &stem, slot);
+        let last = (slot + 1..MAX_STEM_PROBES)
+            .take_while(|&s| self.slot_path(kind, &stem, s).exists())
+            .last();
+        let result = match last {
+            Some(last) => std::fs::rename(self.slot_path(kind, &stem, last), &hole),
+            None => std::fs::remove_file(&hole),
+        };
+        if let Err(e) = result {
+            eprintln!("[store] cannot remove {}: {e}", hole.display());
+        }
     }
 }
 
@@ -398,24 +481,57 @@ impl Probe for ResultStore {
     }
 }
 
-/// Frames one store entry: envelope (magic, versions, key) around the
-/// report payload, closed by a payload checksum.
-fn entry_to_bytes(key: &str, report: &RunReport) -> Vec<u8> {
-    let payload = report_to_bytes(report);
+/// The two kinds of file a store holds, each in its own directory
+/// under the same envelope.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    /// A finished job's report.
+    Entry,
+    /// A partially executed job's checkpoint blob.
+    Snapshot,
+}
+
+impl Kind {
+    fn dir(self) -> &'static str {
+        match self {
+            Kind::Entry => "entries",
+            Kind::Snapshot => "snaps",
+        }
+    }
+
+    fn ext(self) -> &'static str {
+        match self {
+            Kind::Entry => "rpt",
+            Kind::Snapshot => "snap",
+        }
+    }
+
+    fn noun(self) -> &'static str {
+        match self {
+            Kind::Entry => "entry",
+            Kind::Snapshot => "snapshot",
+        }
+    }
+}
+
+/// Frames one store file: envelope (magic, versions, key) around the
+/// payload, closed by a payload checksum.
+fn envelope(key: &str, payload: &[u8]) -> Vec<u8> {
     let mut w = SnapWriter::new();
     w.bytes(&ENTRY_MAGIC);
     w.u32(STORE_FORMAT_VERSION);
     w.u32(SNAPSHOT_VERSION);
     w.str(key);
-    w.bytes(&payload);
-    w.u64(fnv1a(&payload));
+    w.bytes(payload);
+    w.u64(fnv1a(payload));
     w.into_bytes()
 }
 
-/// Parses a store entry. `Ok(None)` means the entry is valid but
-/// stores a *different* key (a stem collision); errors mean the entry
-/// is corrupt or stale and must be discarded.
-fn entry_from_bytes(key: &str, bytes: &[u8]) -> Result<Option<RunReport>, SnapError> {
+/// Checks a store file's envelope and returns its payload. `Ok(None)`
+/// means the file is valid but stores a *different* key (a stem
+/// collision); errors mean it is corrupt or stale and must be
+/// discarded.
+fn open_envelope<'a>(key: &str, bytes: &'a [u8]) -> Result<Option<&'a [u8]>, SnapError> {
     let mut r = SnapReader::new(bytes);
     snap_check(r.bytes()? == ENTRY_MAGIC, "bad entry magic")?;
     let fmt = r.u32()?;
@@ -437,8 +553,5 @@ fn entry_from_bytes(key: &str, bytes: &[u8]) -> Result<Option<RunReport>, SnapEr
     let checksum = r.u64()?;
     r.finish()?;
     snap_check(checksum == fnv1a(payload), "entry checksum mismatch")?;
-    if stored_key != key {
-        return Ok(None);
-    }
-    report_from_bytes(payload).map(Some)
+    Ok((stored_key == key).then_some(payload))
 }

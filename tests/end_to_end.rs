@@ -2,7 +2,7 @@
 //! hierarchy -> prefetcher -> metrics) must reproduce the paper's
 //! qualitative claims on controlled inputs.
 
-use triangel::sim::{Comparison, Experiment, PrefetcherChoice, RunReport, SimSession};
+use triangel::sim::{Comparison, PrefetcherChoice, RunReport, SimSession, SystemConfig};
 use triangel::types::{Addr, Pc};
 use triangel::workloads::spec::SpecWorkload;
 use triangel::workloads::temporal::{RandomStream, TemporalStream, TemporalStreamConfig};
@@ -101,12 +101,16 @@ fn multiprogrammed_runs_share_memory_system() {
             2,
         )),
     ];
-    let report = Experiment::multiprogrammed(sources)
+    let mut builder = SimSession::builder().system(SystemConfig::paper_dual_core());
+    for source in sources {
+        builder = builder.boxed_workload(source);
+    }
+    let report = builder
         .warmup(100_000)
         .accesses(100_000)
         .sizing_window(60_000)
         .prefetcher(PrefetcherChoice::Triangel)
-        .try_run()
+        .run()
         .unwrap();
     assert_eq!(report.cores.len(), 2);
     assert!(report.cores[0].ipc() > 0.0);
