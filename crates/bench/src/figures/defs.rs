@@ -4,19 +4,15 @@
 use std::sync::Arc;
 
 use triangel_core::{structure_sizes, TriangelConfig, TriangelFeatures};
-use triangel_harness::emit::{
-    features_to_json, multicore_to_json, perf_to_json, timeline_to_json, traces_to_json,
-    FeatureCell, FeatureRow, FeatureStep, FeaturesReport, MulticoreReport, MulticoreRow,
-    PerfCellCost, PerfRecord, PerfReport, PerfScalingPoint, TimelineReport, TimelineRow,
-    TimelineSeries, TraceCell, TraceProvenance, TracesReport, TracesRow,
-};
 use triangel_harness::goldens::gated_features;
 use triangel_harness::{
     GridSpec, JobSpec, MapperSpec, RunParams, Sweep, SweepOptions, WorkloadSpec,
 };
 use triangel_markov::TargetFormat;
+use triangel_obs::json::Value;
+use triangel_obs::{IntervalSeries, IntervalWindow};
 use triangel_sim::report::FigureTable;
-use triangel_sim::{PrefetcherChoice, SystemConfig};
+use triangel_sim::{Comparison, PrefetcherChoice, RunReport, SystemConfig};
 use triangel_triage::TriageConfig;
 use triangel_workloads::graph500::Graph500Config;
 use triangel_workloads::irregular::IrregularWorkload;
@@ -308,19 +304,18 @@ const PERF_PARAMS: RunParams = RunParams {
     seed: 42,
 };
 
-/// The recorded reference measurement for `BENCH_perf.json`, taken with
-/// `--jobs 1` on the repo's dev container. PR 2's pre-refactor hot path
-/// (HashMap `ready_at` / HashSet `temporal_resident` side tables in
-/// `MemorySystem`, HashMap MSHR file, SipHash page/stride tables) is the
-/// trajectory's origin; update the label and numbers only when the
-/// sweep's shape changes and the trajectory must restart.
-fn perf_baseline() -> PerfRecord {
-    PerfRecord {
-        label: "PR 1 side-table hot path (pre-refactor)".into(),
-        wall_ms: 1537.0,
-        accesses_per_sec: 1_366_000.0,
-    }
-}
+/// The recorded reference measurement for `BENCH_perf.json` (label,
+/// wall ms, accesses/s), taken with `--jobs 1` on the repo's dev
+/// container. PR 2's pre-refactor hot path (HashMap `ready_at` /
+/// HashSet `temporal_resident` side tables in `MemorySystem`, HashMap
+/// MSHR file, SipHash page/stride tables) is the trajectory's origin;
+/// update the label and numbers only when the sweep's shape changes and
+/// the trajectory must restart.
+const PERF_BASELINE: (&str, f64, f64) = (
+    "PR 1 side-table hot path (pre-refactor)",
+    1537.0,
+    1_366_000.0,
+);
 
 pub(super) fn perf(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let grid = || {
@@ -334,17 +329,11 @@ pub(super) fn perf(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let result = grid()
         .run(&SweepOptions::serial())
         .unwrap_or_else(|e| panic!("{e}"));
-    let wall = t0.elapsed();
+    let serial_s = t0.elapsed().as_secs_f64();
     ctx.absorb(result.stats);
 
     let jobs = result.stats.executed;
     let total_accesses = jobs as u64 * (PERF_PARAMS.warmup + PERF_PARAMS.accesses);
-    let serial_rate = total_accesses as f64 / wall.as_secs_f64();
-    let current = PerfRecord {
-        label: "working tree".into(),
-        wall_ms: wall.as_secs_f64() * 1e3,
-        accesses_per_sec: serial_rate,
-    };
 
     // The parallel-scaling curve: jobs ∈ {1, 2, N}, each width on a
     // fresh private cache so it executes the full job list. The
@@ -354,30 +343,18 @@ pub(super) fn perf(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     // "scheduling overhead". Wider points (2, one-per-core) expose
     // real scheduler + memory-bandwidth overhead.
     let max_workers = triangel_harness::pool::default_workers();
-    let mut scaling = vec![PerfScalingPoint {
-        workers: 1,
-        wall_ms: current.wall_ms,
-        accesses_per_sec: serial_rate,
-        speedup_vs_serial: 1.0,
-    }];
-    let mut widths = vec![2usize, max_workers];
-    widths.sort_unstable();
-    widths.dedup();
-    widths.retain(|w| *w > 1);
-    for workers in widths {
+    let mut widths = vec![(1usize, serial_s)];
+    let mut wider = vec![2usize, max_workers];
+    wider.sort_unstable();
+    wider.dedup();
+    wider.retain(|w| *w > 1);
+    for workers in wider {
         let t0 = std::time::Instant::now();
         let result = grid()
             .run(&SweepOptions::parallel(workers))
             .unwrap_or_else(|e| panic!("{e}"));
-        let wall = t0.elapsed().as_secs_f64();
+        widths.push((workers, t0.elapsed().as_secs_f64()));
         ctx.absorb(result.stats);
-        let rate = total_accesses as f64 / wall;
-        scaling.push(PerfScalingPoint {
-            workers,
-            wall_ms: wall * 1e3,
-            accesses_per_sec: rate,
-            speedup_vs_serial: rate / serial_rate,
-        });
     }
 
     // The per-cell cost: the same 7 workloads timed as a baseline-only
@@ -398,53 +375,103 @@ pub(super) fn perf(ctx: &mut FigureContext) -> Vec<FigureOutput> {
         ctx.absorb(result.stats);
         wall_ms
     };
-    let baseline_wall_ms = time_cells(PrefetcherChoice::Baseline);
-    let triangel_wall_ms = time_cells(PrefetcherChoice::Triangel);
-    let cell_cost = PerfCellCost {
-        baseline_wall_ms,
-        triangel_wall_ms,
-        ratio: triangel_wall_ms / baseline_wall_ms,
-    };
-
-    let report = PerfReport {
-        sweep: format!(
-            "7 SPEC workloads x {{Baseline, Triage, Triangel}}, warmup {} + {} accesses each, serial + jobs scaling",
-            PERF_PARAMS.warmup, PERF_PARAMS.accesses
-        ),
-        jobs,
-        total_accesses,
-        baseline: perf_baseline(),
-        current,
-        scaling,
-        cell_cost,
-    };
-    eprintln!(
-        "[perf] {} job(s), {:.0} ms wall, {:.3}M accesses/s — {:.2}x vs `{}`",
-        report.jobs,
-        report.current.wall_ms,
-        report.current.accesses_per_sec / 1e6,
-        report.speedup(),
-        report.baseline.label,
+    let cell_ms = (
+        time_cells(PrefetcherChoice::Baseline),
+        time_cells(PrefetcherChoice::Triangel),
     );
-    for p in &report.scaling {
+
+    let rate = |wall_s: f64| total_accesses as f64 / wall_s;
+    eprintln!(
+        "[perf] {jobs} job(s), {:.0} ms wall, {:.3}M accesses/s — {:.2}x vs `{}`",
+        serial_s * 1e3,
+        rate(serial_s) / 1e6,
+        rate(serial_s) / PERF_BASELINE.2,
+        PERF_BASELINE.0,
+    );
+    for &(workers, wall_s) in &widths {
         eprintln!(
-            "[perf]   --jobs {}: {:.0} ms, {:.3}M accesses/s ({:.2}x vs serial)",
-            p.workers,
-            p.wall_ms,
-            p.accesses_per_sec / 1e6,
-            p.speedup_vs_serial,
+            "[perf]   --jobs {workers}: {:.0} ms, {:.3}M accesses/s ({:.2}x vs serial)",
+            wall_s * 1e3,
+            rate(wall_s) / 1e6,
+            rate(wall_s) / rate(serial_s),
         );
     }
     eprintln!(
         "[perf]   per-cell cost: Triangel {:.0} ms / baseline {:.0} ms = {:.2}x",
-        report.cell_cost.triangel_wall_ms,
-        report.cell_cost.baseline_wall_ms,
-        report.cell_cost.ratio,
+        cell_ms.1,
+        cell_ms.0,
+        cell_ms.1 / cell_ms.0,
     );
     vec![FigureOutput::Json {
         name: "BENCH_perf".into(),
-        body: perf_to_json(&report),
+        body: perf_document(jobs, total_accesses, &widths, cell_ms),
     }]
+}
+
+/// One `{label, wall_ms, accesses_per_sec}` record of the perf artifact.
+fn perf_record(label: &str, wall_ms: f64, accesses_per_sec: f64) -> Value {
+    Value::obj([
+        ("label", label.into()),
+        ("wall_ms", wall_ms.into()),
+        ("accesses_per_sec", accesses_per_sec.into()),
+    ])
+}
+
+/// The perf-trajectory artifact (`BENCH_perf.json`): the fixed smoke
+/// sweep timed under the current build against [`PERF_BASELINE`].
+/// `widths` holds each measured pool width's `(workers, wall seconds)`,
+/// the serial run first; `cell_ms` the baseline-only and Triangel-only
+/// job lists' wall milliseconds. Wall times are machine-dependent; the
+/// `speedup` of two runs on the *same* machine is the tracked number.
+///
+/// Schema history: 2 = adds the parallel-scaling curve; 3 = adds the
+/// `cell_cost` object with the per-cell Triangel ÷ baseline `ratio`.
+fn perf_document(
+    jobs: usize,
+    total_accesses: u64,
+    widths: &[(usize, f64)],
+    cell_ms: (f64, f64),
+) -> Value {
+    let rate = |wall_s: f64| total_accesses as f64 / wall_s;
+    let serial_s = widths[0].1;
+    let (label, wall_ms, baseline_rate) = PERF_BASELINE;
+    let scaling = widths.iter().map(|&(workers, wall_s)| {
+        Value::obj([
+            ("workers", workers.into()),
+            ("wall_ms", (wall_s * 1e3).into()),
+            ("accesses_per_sec", rate(wall_s).into()),
+            ("speedup_vs_serial", (rate(wall_s) / rate(serial_s)).into()),
+        ])
+    });
+    Value::obj([
+        ("schema", 3u64.into()),
+        ("figure", "perf".into()),
+        (
+            "sweep",
+            format!(
+                "7 SPEC workloads x {{Baseline, Triage, Triangel}}, warmup {} + {} accesses each, serial + jobs scaling",
+                PERF_PARAMS.warmup, PERF_PARAMS.accesses
+            )
+            .into(),
+        ),
+        ("jobs", jobs.into()),
+        ("total_accesses", total_accesses.into()),
+        ("baseline", perf_record(label, wall_ms, baseline_rate)),
+        (
+            "current",
+            perf_record("working tree", serial_s * 1e3, rate(serial_s)),
+        ),
+        ("speedup", (rate(serial_s) / baseline_rate).into()),
+        ("scaling", scaling.collect()),
+        (
+            "cell_cost",
+            Value::obj([
+                ("baseline_wall_ms", cell_ms.0.into()),
+                ("triangel_wall_ms", cell_ms.1.into()),
+                ("ratio", (cell_ms.1 / cell_ms.0).into()),
+            ]),
+        ),
+    ])
 }
 
 /// The `features` ablation's fixed smoke scale. Like `perf`,
@@ -516,37 +543,6 @@ pub fn features_outputs(
     params: RunParams,
     artifact: &str,
 ) -> Vec<FigureOutput> {
-    let cell = |c: triangel_sim::Comparison| FeatureCell {
-        speedup: c.speedup,
-        accuracy: c.accuracy,
-        coverage: c.coverage,
-        dram_traffic: c.dram_traffic,
-    };
-    let rows = result
-        .row_labels()
-        .iter()
-        .enumerate()
-        .map(|(r, workload)| FeatureRow {
-            workload: workload.clone(),
-            // Columns alternate off/on per step (2 per ladder step).
-            steps: (0..=8)
-                .map(|step| FeatureStep {
-                    step,
-                    label: TriangelFeatures::ladder_label(step).to_string(),
-                    off: cell(result.comparison(r, step * 2)),
-                    on: cell(result.comparison(r, step * 2 + 1)),
-                })
-                .collect(),
-        })
-        .collect();
-    let report = FeaturesReport {
-        sweep: format!(
-            "7 SPEC workloads x 9 ladder steps x {{-, +EvictTrain}}, warmup {} + {} accesses each",
-            params.warmup, params.accesses
-        ),
-        rows,
-    };
-
     let mut out = tables(vec![
         result.table(
             "Features ablation: speedup +/- EvictTrain",
@@ -570,9 +566,70 @@ pub fn features_outputs(
     ]);
     out.push(FigureOutput::Json {
         name: artifact.to_string(),
-        body: features_to_json(&report),
+        body: features_document(
+            params,
+            result.row_labels(),
+            result.col_labels().len() / 2,
+            |r, c| result.comparison(r, c),
+        ),
     });
     out
+}
+
+/// The four comparison metrics every per-cell artifact records.
+fn comparison_fields(c: Comparison) -> [(&'static str, Value); 4] {
+    [
+        ("speedup", c.speedup.into()),
+        ("accuracy", c.accuracy.into()),
+        ("coverage", c.coverage.into()),
+        ("dram_traffic", c.dram_traffic.into()),
+    ]
+}
+
+/// The features ablation artifact: per workload, the first `steps`
+/// ladder steps with the experimental `train_on_eviction` gate off and
+/// on. `comparison(row, col)` reads the grid, whose columns alternate
+/// off/on per step. Unlike the perf artifact it carries no wall-clock
+/// numbers, so its bytes are fully deterministic.
+fn features_document(
+    params: RunParams,
+    workloads: &[String],
+    steps: usize,
+    comparison: impl Fn(usize, usize) -> Comparison,
+) -> Value {
+    let rows = workloads.iter().enumerate().map(|(r, workload)| {
+        let steps = (0..steps).map(|step| {
+            Value::obj([
+                ("step", step.into()),
+                ("label", TriangelFeatures::ladder_label(step).into()),
+                (
+                    "off",
+                    Value::obj(comparison_fields(comparison(r, step * 2))),
+                ),
+                (
+                    "on",
+                    Value::obj(comparison_fields(comparison(r, step * 2 + 1))),
+                ),
+            ])
+        });
+        Value::obj([
+            ("workload", workload.as_str().into()),
+            ("steps", steps.collect()),
+        ])
+    });
+    Value::obj([
+        ("schema", 1u64.into()),
+        ("figure", "features".into()),
+        (
+            "sweep",
+            format!(
+                "7 SPEC workloads x 9 ladder steps x {{-, +EvictTrain}}, warmup {} + {} accesses each",
+                params.warmup, params.accesses
+            )
+            .into(),
+        ),
+        ("rows", rows.collect()),
+    ])
 }
 
 /// Sampling period of the `timeline` figure at [`FEATURES_PARAMS`]
@@ -634,7 +691,7 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let result = sweep.run(&opts);
     ctx.absorb(result.stats);
 
-    let series_at = |i: usize| -> &triangel_obs::IntervalSeries {
+    let series_at = |i: usize| -> &IntervalSeries {
         result.results[i]
             .as_ref()
             .unwrap_or_else(|e| panic!("timeline job failed: {e:?}"))
@@ -647,30 +704,20 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
         .enumerate()
         .map(|(wi, wl)| {
             let baseline = series_at(wi * configs.len());
-            TimelineRow {
-                workload: wl.label().to_string(),
-                series: configs
-                    .iter()
-                    .enumerate()
-                    .map(|(ci, (label, _, _))| {
-                        TimelineSeries::from_intervals(
-                            *label,
-                            series_at(wi * configs.len() + ci),
-                            (ci != 0).then_some(baseline),
-                        )
-                    })
-                    .collect(),
-            }
+            let series = configs
+                .iter()
+                .enumerate()
+                .map(|(ci, (label, _, _))| {
+                    let points = timeline_points(
+                        series_at(wi * configs.len() + ci),
+                        (ci != 0).then_some(baseline),
+                    );
+                    (*label, points)
+                })
+                .collect();
+            (wl.label(), series)
         })
         .collect();
-    let report = TimelineReport {
-        sweep: format!(
-            "{{MCF, Astar, Omnetpp}} x {{Baseline, Triangel-L0, Triangel-L0+EvictTrain}}, warmup {} + {} accesses, sampled every {}",
-            params.warmup, params.accesses, TIMELINE_SAMPLE_EVERY
-        ),
-        every: TIMELINE_SAMPLE_EVERY,
-        rows,
-    };
 
     // Localize the gate's effect: the first interval where the gated
     // twin visibly departs from the ungated run — cumulative coverage
@@ -680,33 +727,32 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let mut notes = vec![
         "Timeline: first interval where +EvictTrain diverges from the ungated run".to_string(),
     ];
-    for row in &report.rows {
-        let plain = &row.series[1].points;
-        let gated = &row.series[2].points;
-        let diverged = |p: &triangel_harness::emit::TimelinePoint,
-                        g: &triangel_harness::emit::TimelinePoint| {
+    for (workload, series) in &rows {
+        let plain = &series[1].1;
+        let gated = &series[2].1;
+        let diverged = |p: &TimelinePoint, g: &TimelinePoint| {
             let coverage_gap = p.coverage_so_far - g.coverage_so_far > 0.05;
-            let issue_shift = p.issued.max(20) as f64 * 0.05;
-            coverage_gap || (p.issued as f64 - g.issued as f64).abs() > issue_shift
+            let issue_shift = p.window.issued.max(20) as f64 * 0.05;
+            coverage_gap || (p.window.issued as f64 - g.window.issued as f64).abs() > issue_shift
         };
+        let end_coverage =
+            |points: &[TimelinePoint]| points.last().map_or(0.0, |p| p.coverage_so_far);
         match plain.iter().zip(gated).find(|(p, g)| diverged(p, g)) {
             Some((p, g)) => notes.push(format!(
-                "  {}: diverges at access {} (issued {} vs {}, coverage {:.3} vs {:.3}); \
+                "  {workload}: diverges at access {} (issued {} vs {}, coverage {:.3} vs {:.3}); \
                  end of run coverage {:.3} vs {:.3}",
-                row.workload,
-                p.end_access,
-                p.issued,
-                g.issued,
+                p.window.end_access,
+                p.window.issued,
+                g.window.issued,
                 p.coverage_so_far,
                 g.coverage_so_far,
-                plain.last().map_or(0.0, |p| p.coverage_so_far),
-                gated.last().map_or(0.0, |p| p.coverage_so_far),
+                end_coverage(plain),
+                end_coverage(gated),
             )),
             None => notes.push(format!(
-                "  {}: no divergence (end of run coverage {:.3} vs {:.3})",
-                row.workload,
-                plain.last().map_or(0.0, |p| p.coverage_so_far),
-                gated.last().map_or(0.0, |p| p.coverage_so_far),
+                "  {workload}: no divergence (end of run coverage {:.3} vs {:.3})",
+                end_coverage(plain),
+                end_coverage(gated),
             )),
         }
     }
@@ -720,9 +766,102 @@ pub(super) fn timeline(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             } else {
                 "BENCH_timeline".to_string()
             },
-            body: timeline_to_json(&report),
+            body: timeline_document(params, &rows),
         },
     ]
+}
+
+/// One interval of a timeline series: the differenced window plus the
+/// cumulative fraction of the stride-only baseline's L2 demand misses
+/// eliminated so far (0 for the baseline's own series).
+struct TimelinePoint {
+    window: IntervalWindow,
+    coverage_so_far: f64,
+}
+
+/// One workload of the timeline figure: its label and, per
+/// configuration, the configuration label and its points.
+type TimelineRow = (&'static str, Vec<(&'static str, Vec<TimelinePoint>)>);
+
+/// Differences `series` into timeline points, computing cumulative
+/// coverage against `baseline` (the stride-only run's series over the
+/// same workload at the same period). With no baseline, coverage is 0.
+fn timeline_points(
+    series: &IntervalSeries,
+    baseline: Option<&IntervalSeries>,
+) -> Vec<TimelinePoint> {
+    series
+        .windows()
+        .into_iter()
+        .enumerate()
+        .map(|(i, window)| {
+            let coverage_so_far = baseline.and_then(|b| b.samples.get(i)).map_or(0.0, |base| {
+                let own = series.samples[i].l2_demand_misses;
+                let base = base.l2_demand_misses;
+                if base == 0 {
+                    0.0
+                } else {
+                    (base as f64 - own as f64) / base as f64
+                }
+            });
+            TimelinePoint {
+                window,
+                coverage_so_far,
+            }
+        })
+        .collect()
+}
+
+impl From<&TimelinePoint> for Value {
+    fn from(p: &TimelinePoint) -> Self {
+        let w = &p.window;
+        Value::obj([
+            ("end_access", w.end_access.into()),
+            ("ipc", w.ipc.into()),
+            ("l2_miss_rate", w.l2_miss_rate.into()),
+            ("issued", w.issued.into()),
+            ("useful", w.useful.into()),
+            ("wasted", w.wasted.into()),
+            ("accuracy_so_far", w.accuracy_so_far.into()),
+            ("coverage_so_far", p.coverage_so_far.into()),
+            ("markov_occupancy", w.markov_occupancy.into()),
+            ("markov_ways", w.markov_ways.into()),
+            ("desired_ways", w.desired_ways.into()),
+        ])
+    }
+}
+
+/// The timeline artifact: per-interval time-series over the run,
+/// diagnosing *when* a configuration's behaviour diverges (the
+/// EvictTrain coverage collapse). Carries no wall-clock numbers, so its
+/// bytes are fully deterministic.
+fn timeline_document(params: RunParams, rows: &[TimelineRow]) -> Value {
+    let rows = rows.iter().map(|(workload, series)| {
+        let series = series.iter().map(|(config, points)| {
+            Value::obj([
+                ("config", (*config).into()),
+                ("points", points.iter().map(Value::from).collect()),
+            ])
+        });
+        Value::obj([
+            ("workload", (*workload).into()),
+            ("series", series.collect()),
+        ])
+    });
+    Value::obj([
+        ("schema", 1u64.into()),
+        ("figure", "timeline".into()),
+        (
+            "sweep",
+            format!(
+                "{{MCF, Astar, Omnetpp}} x {{Baseline, Triangel-L0, Triangel-L0+EvictTrain}}, warmup {} + {} accesses, sampled every {}",
+                params.warmup, params.accesses, TIMELINE_SAMPLE_EVERY
+            )
+            .into(),
+        ),
+        ("every", TIMELINE_SAMPLE_EVERY.into()),
+        ("rows", rows.collect()),
+    ])
 }
 
 /// Configurations of the `multicore` figure. Ladder step 0 is the
@@ -773,7 +912,14 @@ pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let result = sweep.run(&opts);
     ctx.absorb(result.stats);
 
-    let mut rows = Vec::new();
+    let reports: Vec<&RunReport> = result
+        .results
+        .iter()
+        .map(|r| {
+            r.as_deref()
+                .unwrap_or_else(|e| panic!("multicore job failed: {e:?}"))
+        })
+        .collect();
     let mut table = FigureTable::new(
         "Multi-core scaling: aggregate IPC",
         "total instructions over the slowest core's cycles (contended N-core model)",
@@ -783,39 +929,15 @@ pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             .collect(),
     )
     .without_geomean();
-    for (i, &n) in core_counts.iter().enumerate() {
-        let mut ipcs = Vec::new();
-        for (j, (label, _)) in MULTICORE_CONFIGS.iter().enumerate() {
-            let report = result.results[i * MULTICORE_CONFIGS.len() + j]
-                .as_ref()
-                .unwrap_or_else(|e| panic!("multicore job failed: {e:?}"));
-            let last = report
-                .intervals
-                .as_ref()
-                .and_then(|s| s.samples.last().cloned())
-                .expect("multicore jobs sample");
-            rows.push(MulticoreRow {
-                n_cores: n,
-                config: label.to_string(),
-                core_ipc: report.cores.iter().map(|c| c.ipc()).collect(),
-                aggregate_ipc: report.aggregate_ipc(),
-                dram_reads: report.dram_reads(),
-                dram_queue_delay: report.dram.total_queue_delay,
-                markov_occupancy: last.markov_occupancy,
-                markov_ways: report.markov_ways as u64,
-            });
-            ipcs.push(report.aggregate_ipc());
-        }
-        table.push_row(format!("{n} core{}", if n == 1 { "" } else { "s" }), ipcs);
+    for (&n, runs) in core_counts
+        .iter()
+        .zip(reports.chunks(MULTICORE_CONFIGS.len()))
+    {
+        table.push_row(
+            format!("{n} core{}", if n == 1 { "" } else { "s" }),
+            runs.iter().map(|r| r.aggregate_ipc()).collect(),
+        );
     }
-    let report = MulticoreReport {
-        sweep: format!(
-            "MCF x {core_counts:?} cores x {{Baseline, Triangel-L0, Triangel}}, warmup {} + {} accesses per core",
-            params.warmup, params.accesses
-        ),
-        workload: SpecWorkload::Mcf.label().to_string(),
-        rows,
-    };
     vec![
         FigureOutput::Table(table),
         FigureOutput::Json {
@@ -824,9 +946,55 @@ pub(super) fn multicore(ctx: &mut FigureContext) -> Vec<FigureOutput> {
             } else {
                 "BENCH_multicore".to_string()
             },
-            body: multicore_to_json(&report),
+            body: multicore_document(params, core_counts, &reports),
         },
     ]
+}
+
+/// The multi-core scaling artifact: one row per `(core count,
+/// configuration)`, from `reports` in sweep order (core counts outer,
+/// [`MULTICORE_CONFIGS`] inner). Per-core IPC comes from each core's
+/// own retire clock, not the aggregate max-over-cores cycle count
+/// (which would understate every core but the slowest); the Markov
+/// occupancy is the run's final interval sample. Carries no wall-clock
+/// numbers, so its bytes are fully deterministic.
+fn multicore_document(params: RunParams, core_counts: &[usize], reports: &[&RunReport]) -> Value {
+    let cells = core_counts.iter().flat_map(|&n| {
+        MULTICORE_CONFIGS
+            .iter()
+            .map(move |(config, _)| (n, *config))
+    });
+    let rows = cells.zip(reports).map(|((n_cores, config), report)| {
+        let last = report
+            .intervals
+            .as_ref()
+            .and_then(|s| s.samples.last())
+            .expect("multicore jobs sample");
+        Value::obj([
+            ("n_cores", n_cores.into()),
+            ("config", config.into()),
+            ("core_ipc", report.cores.iter().map(|c| c.ipc()).collect()),
+            ("aggregate_ipc", report.aggregate_ipc().into()),
+            ("dram_reads", report.dram_reads().into()),
+            ("dram_queue_delay", report.dram.total_queue_delay.into()),
+            ("markov_occupancy", last.markov_occupancy.into()),
+            ("markov_ways", report.markov_ways.into()),
+        ])
+    });
+    Value::obj([
+        ("schema", 1u64.into()),
+        ("figure", "multicore".into()),
+        (
+            "sweep",
+            format!(
+                "MCF x {core_counts:?} cores x {{Baseline, Triangel-L0, Triangel}}, warmup {} + {} accesses per core",
+                params.warmup, params.accesses
+            )
+            .into(),
+        ),
+        ("workload", SpecWorkload::Mcf.label().into()),
+        ("rows", rows.collect()),
+    ])
 }
 
 pub(super) fn duel_bias(ctx: &mut FigureContext) -> Vec<FigureOutput> {
@@ -898,63 +1066,19 @@ fn traces_trace_spec(params: RunParams) -> WorkloadSpec {
 pub(super) fn traces(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let params = ctx.params.run_params();
     let trace_spec = traces_trace_spec(params);
+    let WorkloadSpec::TraceFile {
+        records, checksum, ..
+    } = trace_spec
+    else {
+        unreachable!("traces_trace_spec resolves a trace file");
+    };
     let mut grid = GridSpec::new(params).columns(TRACES_CONFIGS);
     for wl in IrregularWorkload::ALL {
         grid = grid.row(WorkloadSpec::Irregular(wl));
     }
-    grid = grid.row(trace_spec.clone());
+    grid = grid.row(trace_spec);
     let result = grid.run(&ctx.opts).unwrap_or_else(|e| panic!("{e}"));
     ctx.absorb(result.stats);
-
-    let rows: Vec<TracesRow> = result
-        .row_labels()
-        .iter()
-        .enumerate()
-        .map(|(r, workload)| {
-            let provenance = if r < IrregularWorkload::ALL.len() {
-                TraceProvenance::Generator
-            } else {
-                let WorkloadSpec::TraceFile {
-                    records, checksum, ..
-                } = &trace_spec
-                else {
-                    unreachable!("last row is the trace-file row");
-                };
-                TraceProvenance::Recorded {
-                    records: *records,
-                    checksum: *checksum,
-                    replayed: params.warmup + params.accesses,
-                }
-            };
-            TracesRow {
-                workload: workload.clone(),
-                provenance,
-                cells: result
-                    .col_labels()
-                    .iter()
-                    .enumerate()
-                    .map(|(c, config)| {
-                        let m = result.comparison(r, c);
-                        TraceCell {
-                            config: config.clone(),
-                            speedup: m.speedup,
-                            accuracy: m.accuracy,
-                            coverage: m.coverage,
-                            dram_traffic: m.dram_traffic,
-                        }
-                    })
-                    .collect(),
-            }
-        })
-        .collect();
-    let report = TracesReport {
-        sweep: format!(
-            "4 irregular families + 1 recorded trace x {{Triage, Triangel}}, \
-             warmup {} + {} accesses each",
-            params.warmup, params.accesses
-        ),
-        rows,
-    };
 
     let mut out = tables(vec![
         result.table(
@@ -972,7 +1096,280 @@ pub(super) fn traces(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     ]);
     out.push(FigureOutput::Json {
         name: "BENCH_traces".into(),
-        body: traces_to_json(&report),
+        body: traces_document(
+            params,
+            result.row_labels(),
+            result.col_labels(),
+            (records, checksum),
+            |r, c| result.comparison(r, c),
+        ),
     });
     out
+}
+
+/// The `traces` artifact (`BENCH_traces.json`): every row but the last
+/// comes from a generator; the last replays the recorded trace
+/// `(records, checksum)` under the looping end-of-trace policy, so its
+/// row carries the header digest and the per-core access count it
+/// replayed — the wrap arithmetic is evident in the artifact.
+/// `comparison(row, col)` reads the grid. Carries no wall-clock
+/// numbers, so its bytes are fully deterministic.
+fn traces_document(
+    params: RunParams,
+    workloads: &[String],
+    configs: &[String],
+    (records, checksum): (u64, u64),
+    comparison: impl Fn(usize, usize) -> Comparison,
+) -> Value {
+    let replayed = params.warmup + params.accesses;
+    let rows = workloads.iter().enumerate().map(|(r, workload)| {
+        let (source, trace) = if r + 1 < workloads.len() {
+            ("generator", Value::Null)
+        } else {
+            let trace = Value::obj([
+                ("records", records.into()),
+                ("checksum", format!("{checksum:016x}").into()),
+                ("replayed", replayed.into()),
+                ("wraps", (replayed / records.max(1)).into()),
+            ]);
+            ("recorded", trace)
+        };
+        let cells = configs.iter().enumerate().map(|(c, config)| {
+            let config = ("config", config.as_str().into());
+            Value::obj(std::iter::once(config).chain(comparison_fields(comparison(r, c))))
+        });
+        Value::obj([
+            ("workload", workload.as_str().into()),
+            ("source", source.into()),
+            ("trace", trace),
+            ("cells", cells.collect()),
+        ])
+    });
+    Value::obj([
+        ("schema", 1u64.into()),
+        ("figure", "traces".into()),
+        (
+            "sweep",
+            format!(
+                "4 irregular families + 1 recorded trace x {{Triage, Triangel}}, \
+                 warmup {} + {} accesses each",
+                params.warmup, params.accesses
+            )
+            .into(),
+        ),
+        ("rows", rows.collect()),
+    ])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use triangel_obs::IntervalSample;
+    use triangel_sim::CoreReport;
+
+    // Every expected document below is the byte-exact output of the
+    // per-figure writers this module replaced, for the same input.
+
+    fn comparison(speedup: f64, accuracy: f64, coverage: f64, dram_traffic: f64) -> Comparison {
+        Comparison {
+            speedup,
+            dram_traffic,
+            accuracy,
+            coverage,
+            l3_accesses: 0.0,
+            energy: 0.0,
+            energy_dram_fraction: 0.0,
+        }
+    }
+
+    #[test]
+    fn perf_document_bytes() {
+        let doc = perf_document(21, 2_100_000, &[(1, 1.0), (2, 0.6)], (100.0, 125.0));
+        assert_eq!(
+            doc.to_string(),
+            concat!(
+                r#"{"schema":3,"figure":"perf","sweep":"7 SPEC workloads x {Baseline, Triage, Triangel}, "#,
+                r#"warmup 50000 + 50000 accesses each, serial + jobs scaling","jobs":21,"total_accesses":2100000,"#,
+                r#""baseline":{"label":"PR 1 side-table hot path (pre-refactor)","wall_ms":1537.0,"accesses_per_sec":1366000.0},"#,
+                r#""current":{"label":"working tree","wall_ms":1000.0,"accesses_per_sec":2100000.0},"#,
+                r#""speedup":1.5373352855051245,"scaling":["#,
+                r#"{"workers":1,"wall_ms":1000.0,"accesses_per_sec":2100000.0,"speedup_vs_serial":1.0},"#,
+                r#"{"workers":2,"wall_ms":600.0,"accesses_per_sec":3500000.0,"speedup_vs_serial":1.6666666666666667}],"#,
+                r#""cell_cost":{"baseline_wall_ms":100.0,"triangel_wall_ms":125.0,"ratio":1.25}}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn features_document_bytes() {
+        let doc = features_document(FEATURES_PARAMS, &["Xalan".into()], 1, |_, c| {
+            comparison(if c == 0 { 1.0 } else { 1.25 }, 0.5, 0.25, 1.0)
+        });
+        assert_eq!(
+            doc.to_string(),
+            concat!(
+                r#"{"schema":1,"figure":"features","sweep":"7 SPEC workloads x 9 ladder steps x {-, +EvictTrain}, "#,
+                r#"warmup 25000 + 25000 accesses each","rows":[{"workload":"Xalan","steps":["#,
+                r#"{"step":0,"label":"Triage-Deg-4","#,
+                r#""off":{"speedup":1.0,"accuracy":0.5,"coverage":0.25,"dram_traffic":1.0},"#,
+                r#""on":{"speedup":1.25,"accuracy":0.5,"coverage":0.25,"dram_traffic":1.0}}]}]}"#,
+            )
+        );
+    }
+
+    #[test]
+    fn traces_document_bytes() {
+        let params = RunParams {
+            warmup: 1250,
+            accesses: 1250,
+            ..FEATURES_PARAMS
+        };
+        let doc = traces_document(
+            params,
+            &["ZipfKV".into(), "smoke.trc".into()],
+            &["Triangel".into()],
+            (1000, 0xabcd),
+            |_, _| comparison(1.5, 0.75, 0.5, 1.125),
+        );
+        let cells = r#""cells":[{"config":"Triangel","speedup":1.5,"accuracy":0.75,"coverage":0.5,"dram_traffic":1.125}]"#;
+        assert_eq!(
+            doc.to_string(),
+            [
+                r#"{"schema":1,"figure":"traces","sweep":"4 irregular families + 1 recorded trace x {Triage, Triangel}, "#,
+                r#"warmup 1250 + 1250 accesses each","rows":["#,
+                r#"{"workload":"ZipfKV","source":"generator","trace":null,"#,
+                cells,
+                r#"},{"workload":"smoke.trc","source":"recorded","#,
+                r#""trace":{"records":1000,"checksum":"000000000000abcd","replayed":2500,"wraps":2},"#,
+                cells,
+                "}]}",
+            ]
+            .concat()
+        );
+    }
+
+    #[test]
+    fn timeline_points_and_document_bytes() {
+        let sample = |end: u64, instr: u64, cyc: u64, misses: u64, used: u64| IntervalSample {
+            end_access: end,
+            instructions: instr,
+            cycles: cyc,
+            l2_demand_hits: end,
+            l2_demand_misses: misses,
+            prefetches_issued: used * 2,
+            temporal_used: used,
+            temporal_wasted: used / 2,
+            markov_occupancy: 100,
+            markov_ways: 4,
+            desired_ways: 6,
+            ..Default::default()
+        };
+        let baseline = IntervalSeries {
+            every: 100,
+            samples: vec![sample(100, 400, 200, 80, 0), sample(200, 800, 400, 160, 0)],
+        };
+        let triangel = IntervalSeries {
+            every: 100,
+            samples: vec![
+                sample(100, 500, 200, 40, 10),
+                sample(200, 1000, 400, 80, 20),
+            ],
+        };
+        let base_points = timeline_points(&baseline, None);
+        let points = timeline_points(&triangel, Some(&baseline));
+        assert_eq!(base_points[0].coverage_so_far, 0.0);
+        // 40 of the baseline's 80 cumulative misses eliminated.
+        assert!((points[0].coverage_so_far - 0.5).abs() < 1e-12);
+        assert!((points[1].coverage_so_far - 0.5).abs() < 1e-12);
+        assert!((points[1].window.ipc - 2.5).abs() < 1e-12);
+
+        let doc = timeline_document(
+            FEATURES_PARAMS,
+            &[("MCF", vec![("Baseline", base_points), ("Triangel", points)])],
+        );
+        let base = |end: u64| {
+            format!(
+                r#"{{"end_access":{end},"ipc":2.0,"l2_miss_rate":0.4444444444444444,"issued":0,"useful":0,"wasted":0,"accuracy_so_far":0.0,"coverage_so_far":0.0,"markov_occupancy":100,"markov_ways":4,"desired_ways":6}}"#
+            )
+        };
+        let tri = |end: u64| {
+            format!(
+                r#"{{"end_access":{end},"ipc":2.5,"l2_miss_rate":0.2857142857142857,"issued":20,"useful":10,"wasted":5,"accuracy_so_far":0.6666666666666666,"coverage_so_far":0.5,"markov_occupancy":100,"markov_ways":4,"desired_ways":6}}"#
+            )
+        };
+        assert_eq!(
+            doc.to_string(),
+            format!(
+                concat!(
+                    r#"{{"schema":1,"figure":"timeline","sweep":"{{MCF, Astar, Omnetpp}} x "#,
+                    r#"{{Baseline, Triangel-L0, Triangel-L0+EvictTrain}}, warmup 25000 + 25000 accesses, "#,
+                    r#"sampled every 2500","every":2500,"rows":[{{"workload":"MCF","series":["#,
+                    r#"{{"config":"Baseline","points":[{},{}]}},"#,
+                    r#"{{"config":"Triangel","points":[{},{}]}}]}}]}}"#,
+                ),
+                base(100),
+                base(200),
+                tri(100),
+                tri(200),
+            )
+        );
+    }
+
+    #[test]
+    fn multicore_document_bytes() {
+        let report = |dram_reads: u64, queue_delay: u64, occupancy: u64, ways: usize| {
+            let mut report = RunReport {
+                workload: "MCF".into(),
+                cores: [125, 100, 75, 50]
+                    .into_iter()
+                    .map(|instructions| CoreReport {
+                        workload: "MCF".into(),
+                        pf_name: String::new(),
+                        instructions,
+                        cycles: 100,
+                        l2: Default::default(),
+                        core: Default::default(),
+                        pf: Default::default(),
+                    })
+                    .collect(),
+                l3: Default::default(),
+                dram: Default::default(),
+                markov_ways: ways,
+                intervals: Some(IntervalSeries {
+                    every: FEATURES_PARAMS.accesses,
+                    samples: vec![IntervalSample {
+                        markov_occupancy: occupancy,
+                        ..Default::default()
+                    }],
+                }),
+            };
+            report.dram.demand_reads = dram_reads;
+            report.dram.total_queue_delay = queue_delay;
+            report
+        };
+        let reports = [
+            report(1000, 40, 0, 0),
+            report(5000, 900, 4096, 4),
+            report(3000, 500, 2048, 2),
+        ];
+        let doc = multicore_document(FEATURES_PARAMS, &[4], &reports.iter().collect::<Vec<_>>());
+        let row = |config: &str, dram: u64, delay: u64, occupancy: u64, ways: u64| {
+            format!(
+                r#"{{"n_cores":4,"config":"{config}","core_ipc":[1.25,1.0,0.75,0.5],"aggregate_ipc":3.5,"dram_reads":{dram},"dram_queue_delay":{delay},"markov_occupancy":{occupancy},"markov_ways":{ways}}}"#
+            )
+        };
+        assert_eq!(
+            doc.to_string(),
+            format!(
+                concat!(
+                    r#"{{"schema":1,"figure":"multicore","sweep":"MCF x [4] cores x "#,
+                    r#"{{Baseline, Triangel-L0, Triangel}}, warmup 25000 + 25000 accesses per core","#,
+                    r#""workload":"MCF","rows":[{},{},{}]}}"#,
+                ),
+                row("Baseline", 1000, 40, 0, 0),
+                row("Triangel-L0", 5000, 900, 4096, 4),
+                row("Triangel", 3000, 500, 2048, 2),
+            )
+        );
+    }
 }

@@ -19,6 +19,7 @@ use std::sync::Arc;
 use triangel_harness::emit;
 use triangel_harness::filter::Pattern;
 use triangel_harness::{ResultCache, SweepOptions, SweepStats};
+use triangel_obs::json::Value;
 use triangel_sim::report::FigureTable;
 
 use crate::{SpecSweep, SweepParams};
@@ -39,8 +40,8 @@ pub enum FigureOutput {
     Json {
         /// File stem (`BENCH_perf` → `BENCH_perf.json`).
         name: String,
-        /// The serialized JSON body.
-        body: String,
+        /// The JSON document.
+        body: Value,
     },
 }
 
@@ -461,7 +462,7 @@ pub fn emit_selected(
                 std::fs::write(dir.join(format!("{slug}.txt")), s)?;
             }
             FigureOutput::Json { body, .. } => {
-                std::fs::write(dir.join(format!("{slug}.json")), body)?;
+                std::fs::write(dir.join(format!("{slug}.json")), body.to_string())?;
             }
             _ => {}
         }

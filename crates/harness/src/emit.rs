@@ -1,75 +1,33 @@
 //! JSON and CSV emitters for figure tables and sweep reports.
 //!
-//! Hand-rolled (the workspace has no serialization dependency) and
+//! JSON goes through the workspace's one writer,
+//! [`triangel_obs::json::Value`]; CSV is written here. Both are
 //! deterministic: emitting the same data twice yields identical bytes,
 //! which the harness's reproducibility tests rely on.
 
+use triangel_obs::json::Value;
 use triangel_sim::report::FigureTable;
-use triangel_sim::RunReport;
 
 use crate::sweep::SweepReport;
 
-/// Escapes a string for a JSON literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Renders an `f64` as a JSON number (shortest round-trip form; NaN and
-/// infinities become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_f64_list(vs: &[f64]) -> String {
-    let items: Vec<String> = vs.iter().map(|v| json_f64(*v)).collect();
-    format!("[{}]", items.join(","))
-}
-
 /// Serializes a figure table as JSON.
 pub fn table_to_json(t: &FigureTable) -> String {
-    let configs: Vec<String> = t.configs().iter().map(|c| json_str(c)).collect();
-    let rows: Vec<String> = t
-        .rows()
-        .iter()
-        .map(|(label, vals)| {
-            format!(
-                "{{\"workload\":{},\"values\":{}}}",
-                json_str(label),
-                json_f64_list(vals)
-            )
-        })
-        .collect();
-    let geomean = if t.has_geomean() {
-        format!(",\"geomean\":{}", json_f64_list(&t.geomeans()))
-    } else {
-        String::new()
-    };
-    format!(
-        "{{\"title\":{},\"metric\":{},\"configs\":[{}],\"rows\":[{}]{}}}",
-        json_str(t.title()),
-        json_str(t.metric()),
-        configs.join(","),
-        rows.join(","),
-        geomean,
-    )
+    let rows = t.rows().iter().map(|(label, vals)| {
+        Value::obj([
+            ("workload", label.as_str().into()),
+            ("values", vals.iter().copied().collect()),
+        ])
+    });
+    let mut fields = vec![
+        ("title", t.title().into()),
+        ("metric", t.metric().into()),
+        ("configs", t.configs().iter().map(String::as_str).collect()),
+        ("rows", rows.collect()),
+    ];
+    if t.has_geomean() {
+        fields.push(("geomean", t.geomeans().into()));
+    }
+    Value::obj(fields).to_string()
 }
 
 /// Renders an `f64` as a CSV field, mirroring the JSON emitter's
@@ -118,596 +76,53 @@ pub fn table_to_csv(t: &FigureTable) -> String {
     out
 }
 
-/// One timed measurement of the perf smoke sweep: a label naming the
-/// code state it was taken under, and the observed wall time / rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfRecord {
-    /// What was measured (e.g. `"PR 1 side-table hot path"`).
-    pub label: String,
-    /// Wall-clock milliseconds for the whole sweep.
-    pub wall_ms: f64,
-    /// Simulated accesses (warm-up + measured) per wall-clock second.
-    pub accesses_per_sec: f64,
-}
-
-/// One point of the parallel-scaling curve: the same fixed sweep run
-/// under a worker pool instead of serially.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfScalingPoint {
-    /// Worker threads the sweep was scheduled across (`--jobs N`).
-    pub workers: usize,
-    /// Wall-clock milliseconds for the whole sweep at this width.
-    pub wall_ms: f64,
-    /// Simulated accesses per wall-clock second at this width.
-    pub accesses_per_sec: f64,
-    /// Throughput ratio over the same run's serial measurement
-    /// (ideal = `workers`; the gap is scheduler + memory-bandwidth
-    /// overhead).
-    pub speedup_vs_serial: f64,
-}
-
-/// The per-cell cost measurement: the same workload list timed once
-/// under the stride-only baseline and once under full Triangel, both
-/// serial. The `ratio` (Triangel cell ÷ baseline cell) isolates what
-/// the temporal prefetcher's metadata tables add to one simulation —
-/// the number the arena refactor tracks, independent of whole-sweep
-/// composition.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfCellCost {
-    /// Wall-clock milliseconds for the baseline-only job list.
-    pub baseline_wall_ms: f64,
-    /// Wall-clock milliseconds for the Triangel-only job list.
-    pub triangel_wall_ms: f64,
-    /// `triangel_wall_ms / baseline_wall_ms` (1.0 = metadata free).
-    pub ratio: f64,
-}
-
-/// The repo's perf-trajectory artefact (`BENCH_perf.json`): a fixed
-/// smoke sweep timed under the current build, against the recorded
-/// baseline it is tracked from. Wall times are machine-dependent; the
-/// `speedup` ratio of two runs on the *same* machine is the tracked
-/// number.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PerfReport {
-    /// Human description of the fixed sweep (workloads × configs × scale).
-    pub sweep: String,
-    /// Simulations the sweep runs.
-    pub jobs: usize,
-    /// Total simulated accesses across all jobs (warm-up + measured).
-    pub total_accesses: u64,
-    /// The recorded reference measurement.
-    pub baseline: PerfRecord,
-    /// The measurement just taken.
-    pub current: PerfRecord,
-    /// The parallel-scaling curve (jobs ∈ {1, 2, N}), empty when only
-    /// the serial number was measured.
-    pub scaling: Vec<PerfScalingPoint>,
-    /// The per-cell Triangel ÷ baseline cost measurement.
-    pub cell_cost: PerfCellCost,
-}
-
-impl PerfReport {
-    /// Throughput ratio of `current` over `baseline` (>1 is faster).
-    pub fn speedup(&self) -> f64 {
-        self.current.accesses_per_sec / self.baseline.accesses_per_sec
-    }
-}
-
-fn perf_record_json(r: &PerfRecord) -> String {
-    format!(
-        "{{\"label\":{},\"wall_ms\":{},\"accesses_per_sec\":{}}}",
-        json_str(&r.label),
-        json_f64(r.wall_ms),
-        json_f64(r.accesses_per_sec),
-    )
-}
-
-fn perf_scaling_json(p: &PerfScalingPoint) -> String {
-    format!(
-        "{{\"workers\":{},\"wall_ms\":{},\"accesses_per_sec\":{},\"speedup_vs_serial\":{}}}",
-        p.workers,
-        json_f64(p.wall_ms),
-        json_f64(p.accesses_per_sec),
-        json_f64(p.speedup_vs_serial),
-    )
-}
-
-/// Serializes a perf report as JSON (the `BENCH_perf.json` schema).
-///
-/// Schema history: 2 = adds the parallel-scaling curve; 3 = adds the
-/// `cell_cost` object with the per-cell Triangel ÷ baseline `ratio`.
-pub fn perf_to_json(r: &PerfReport) -> String {
-    let scaling: Vec<String> = r.scaling.iter().map(perf_scaling_json).collect();
-    format!(
-        "{{\"schema\":3,\"figure\":\"perf\",\"sweep\":{},\"jobs\":{},\"total_accesses\":{},\"baseline\":{},\"current\":{},\"speedup\":{},\"scaling\":[{}],\"cell_cost\":{{\"baseline_wall_ms\":{},\"triangel_wall_ms\":{},\"ratio\":{}}}}}",
-        json_str(&r.sweep),
-        r.jobs,
-        r.total_accesses,
-        perf_record_json(&r.baseline),
-        perf_record_json(&r.current),
-        json_f64(r.speedup()),
-        scaling.join(","),
-        json_f64(r.cell_cost.baseline_wall_ms),
-        json_f64(r.cell_cost.triangel_wall_ms),
-        json_f64(r.cell_cost.ratio),
-    )
-}
-
-/// One cell of the `features` ablation: the comparison metrics of a
-/// `(workload, ladder step, gate)` configuration against its
-/// stride-only baseline.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureCell {
-    /// IPC over the stride-only baseline.
-    pub speedup: f64,
-    /// Prefetch accuracy (used / resolved temporal fills).
-    pub accuracy: f64,
-    /// Fraction of baseline L2 demand misses eliminated.
-    pub coverage: f64,
-    /// DRAM line reads relative to baseline.
-    pub dram_traffic: f64,
-}
-
-/// One ladder step of the `features` ablation for one workload: the
-/// gate-off and gate-on measurements side by side.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureStep {
-    /// Ladder step index (0 = Triage-Deg-4, 8 = full Triangel).
-    pub step: usize,
-    /// The step's Fig. 20 label.
-    pub label: String,
-    /// Metrics with `train_on_eviction` off.
-    pub off: FeatureCell,
-    /// Metrics with `train_on_eviction` on.
-    pub on: FeatureCell,
-}
-
-/// One workload row of the `features` ablation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureRow {
-    /// Workload label.
-    pub workload: String,
-    /// One entry per ladder step.
-    pub steps: Vec<FeatureStep>,
-}
-
-/// The `features` ablation artefact (`BENCH_features.json`): the
-/// Fig. 20 feature ladder swept with the experimental
-/// `train_on_eviction` gate off and on, per workload. Unlike the perf
-/// artefact this carries no wall-clock numbers, so its bytes are fully
-/// deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeaturesReport {
-    /// Human description of the fixed sweep.
-    pub sweep: String,
-    /// Per-workload results.
-    pub rows: Vec<FeatureRow>,
-}
-
-fn feature_cell_json(c: &FeatureCell) -> String {
-    format!(
-        "{{\"speedup\":{},\"accuracy\":{},\"coverage\":{},\"dram_traffic\":{}}}",
-        json_f64(c.speedup),
-        json_f64(c.accuracy),
-        json_f64(c.coverage),
-        json_f64(c.dram_traffic),
-    )
-}
-
-/// Serializes a features report as JSON (the `BENCH_features.json`
-/// schema). Deterministic: equal reports emit equal bytes.
-pub fn features_to_json(r: &FeaturesReport) -> String {
-    let rows: Vec<String> = r
-        .rows
-        .iter()
-        .map(|row| {
-            let steps: Vec<String> = row
-                .steps
-                .iter()
-                .map(|s| {
-                    format!(
-                        "{{\"step\":{},\"label\":{},\"off\":{},\"on\":{}}}",
-                        s.step,
-                        json_str(&s.label),
-                        feature_cell_json(&s.off),
-                        feature_cell_json(&s.on),
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"workload\":{},\"steps\":[{}]}}",
-                json_str(&row.workload),
-                steps.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":1,\"figure\":\"features\",\"sweep\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
-        rows.join(","),
-    )
-}
-
-/// One configuration cell of the `traces` figure: the comparison
-/// metrics of one prefetcher configuration against the row's
-/// stride-only baseline.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceCell {
-    /// Configuration label (e.g. `"Triangel"`).
-    pub config: String,
-    /// IPC over the stride-only baseline.
-    pub speedup: f64,
-    /// Prefetch accuracy (used / resolved temporal fills).
-    pub accuracy: f64,
-    /// Fraction of baseline L2 demand misses eliminated.
-    pub coverage: f64,
-    /// DRAM line reads relative to baseline.
-    pub dram_traffic: f64,
-}
-
-/// Where one `traces` row's accesses come from.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceProvenance {
-    /// A synthetic irregular-family generator.
-    Generator,
-    /// A recorded trace file replayed under the looping end-of-trace
-    /// policy. Carries the header digest and the per-core access count
-    /// the row simulated, so the wrap arithmetic is evident in the
-    /// artefact: a reader can see exactly how much of the measurement
-    /// re-walked the same recording.
-    Recorded {
-        /// Record count from the trace header.
-        records: u64,
-        /// Payload checksum from the trace header.
-        checksum: u64,
-        /// Accesses each core replayed (warm-up + measured).
-        replayed: u64,
-    },
-}
-
-/// One workload row of the `traces` figure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracesRow {
-    /// Workload label (family name or trace file name).
-    pub workload: String,
-    /// Generator or recorded trace.
-    pub provenance: TraceProvenance,
-    /// One cell per configuration column.
-    pub cells: Vec<TraceCell>,
-}
-
-/// The `traces` artefact (`BENCH_traces.json`): the irregular workload
-/// families and a recorded-trace replay, each compared against its
-/// stride-only baseline. Carries no wall-clock numbers, so its bytes
-/// are fully deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TracesReport {
-    /// Human description of the fixed sweep.
-    pub sweep: String,
-    /// Per-workload rows.
-    pub rows: Vec<TracesRow>,
-}
-
-fn trace_cell_json(c: &TraceCell) -> String {
-    format!(
-        "{{\"config\":{},\"speedup\":{},\"accuracy\":{},\"coverage\":{},\"dram_traffic\":{}}}",
-        json_str(&c.config),
-        json_f64(c.speedup),
-        json_f64(c.accuracy),
-        json_f64(c.coverage),
-        json_f64(c.dram_traffic),
-    )
-}
-
-/// Serializes a traces report as JSON (the `BENCH_traces.json`
-/// schema). Deterministic: equal reports emit equal bytes.
-pub fn traces_to_json(r: &TracesReport) -> String {
-    let rows: Vec<String> = r
-        .rows
-        .iter()
-        .map(|row| {
-            let cells: Vec<String> = row.cells.iter().map(trace_cell_json).collect();
-            let provenance = match &row.provenance {
-                TraceProvenance::Generator => {
-                    "\"source\":\"generator\",\"trace\":null".to_string()
-                }
-                TraceProvenance::Recorded {
-                    records,
-                    checksum,
-                    replayed,
-                } => format!(
-                    "\"source\":\"recorded\",\"trace\":{{\"records\":{records},\"checksum\":{},\"replayed\":{replayed},\"wraps\":{}}}",
-                    json_str(&format!("{checksum:016x}")),
-                    *replayed / (*records).max(1),
-                ),
-            };
-            format!(
-                "{{\"workload\":{},{provenance},\"cells\":[{}]}}",
-                json_str(&row.workload),
-                cells.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":1,\"figure\":\"traces\",\"sweep\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
-        rows.join(","),
-    )
-}
-
-/// One per-interval point of a timeline series, already differenced
-/// (see [`triangel_obs::IntervalSeries::windows`]) and normalized
-/// against the stride-only baseline where a baseline exists.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimelinePoint {
-    /// Measured accesses completed at the end of this interval.
-    pub end_access: u64,
-    /// IPC within the interval.
-    pub ipc: f64,
-    /// L2 demand miss rate within the interval.
-    pub l2_miss_rate: f64,
-    /// Temporal prefetches issued within the interval.
-    pub issued: u64,
-    /// Temporal prefetches used within the interval.
-    pub useful: u64,
-    /// Temporal prefetches evicted dead within the interval.
-    pub wasted: u64,
-    /// Cumulative prefetch accuracy up to the end of the interval.
-    pub accuracy_so_far: f64,
-    /// Cumulative fraction of the baseline's L2 demand misses
-    /// eliminated so far (0 for the baseline's own series).
-    pub coverage_so_far: f64,
-    /// Markov-table occupancy (entries) at the end of the interval.
-    pub markov_occupancy: u64,
-    /// L3 ways granted to the Markov partition at the end of the
-    /// interval.
-    pub markov_ways: u64,
-    /// Ways the prefetcher wanted at the end of the interval.
-    pub desired_ways: u64,
-}
-
-/// One configuration's timeline over a workload.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineSeries {
-    /// Configuration label (e.g. `"Triangel+EvictTrain"`).
-    pub config: String,
-    /// Per-interval points, in simulation-time order.
-    pub points: Vec<TimelinePoint>,
-}
-
-impl TimelineSeries {
-    /// Builds a timeline series from a recorded interval series,
-    /// differencing adjacent samples and computing cumulative coverage
-    /// against `baseline` (the stride-only run's series over the same
-    /// workload at the same period). With no baseline, coverage is 0.
-    pub fn from_intervals(
-        config: impl Into<String>,
-        series: &triangel_obs::IntervalSeries,
-        baseline: Option<&triangel_obs::IntervalSeries>,
-    ) -> Self {
-        let points = series
-            .windows()
-            .iter()
-            .enumerate()
-            .map(|(i, w)| {
-                let coverage_so_far = baseline.and_then(|b| b.samples.get(i)).map_or(0.0, |base| {
-                    let own = series.samples[i].l2_demand_misses;
-                    let base = base.l2_demand_misses;
-                    if base == 0 {
-                        0.0
-                    } else {
-                        (base as f64 - own as f64) / base as f64
-                    }
-                });
-                TimelinePoint {
-                    end_access: w.end_access,
-                    ipc: w.ipc,
-                    l2_miss_rate: w.l2_miss_rate,
-                    issued: w.issued,
-                    useful: w.useful,
-                    wasted: w.wasted,
-                    accuracy_so_far: w.accuracy_so_far,
-                    coverage_so_far,
-                    markov_occupancy: w.markov_occupancy,
-                    markov_ways: w.markov_ways,
-                    desired_ways: w.desired_ways,
-                }
-            })
-            .collect();
-        TimelineSeries {
-            config: config.into(),
-            points,
-        }
-    }
-}
-
-/// One workload row of the timeline figure: the same workload under
-/// several configurations, sampled at the same period.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineRow {
-    /// Workload label.
-    pub workload: String,
-    /// One series per configuration.
-    pub series: Vec<TimelineSeries>,
-}
-
-/// The timeline artefact (`BENCH_timeline.json`): per-interval
-/// time-series over the run, diagnosing *when* in a run a
-/// configuration's behaviour diverges (the EvictTrain coverage
-/// collapse). Carries no wall-clock numbers, so its bytes are fully
-/// deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TimelineReport {
-    /// Human description of the fixed sweep.
-    pub sweep: String,
-    /// Sampling period in measured accesses.
-    pub every: u64,
-    /// Per-workload timelines.
-    pub rows: Vec<TimelineRow>,
-}
-
-fn timeline_point_json(p: &TimelinePoint) -> String {
-    format!(
-        "{{\"end_access\":{},\"ipc\":{},\"l2_miss_rate\":{},\"issued\":{},\"useful\":{},\"wasted\":{},\"accuracy_so_far\":{},\"coverage_so_far\":{},\"markov_occupancy\":{},\"markov_ways\":{},\"desired_ways\":{}}}",
-        p.end_access,
-        json_f64(p.ipc),
-        json_f64(p.l2_miss_rate),
-        p.issued,
-        p.useful,
-        p.wasted,
-        json_f64(p.accuracy_so_far),
-        json_f64(p.coverage_so_far),
-        p.markov_occupancy,
-        p.markov_ways,
-        p.desired_ways,
-    )
-}
-
-/// Serializes a timeline report as JSON (the `BENCH_timeline.json`
-/// schema). Deterministic: equal reports emit equal bytes.
-pub fn timeline_to_json(r: &TimelineReport) -> String {
-    let rows: Vec<String> = r
-        .rows
-        .iter()
-        .map(|row| {
-            let series: Vec<String> = row
-                .series
-                .iter()
-                .map(|s| {
-                    let points: Vec<String> = s.points.iter().map(timeline_point_json).collect();
-                    format!(
-                        "{{\"config\":{},\"points\":[{}]}}",
-                        json_str(&s.config),
-                        points.join(",")
-                    )
-                })
-                .collect();
-            format!(
-                "{{\"workload\":{},\"series\":[{}]}}",
-                json_str(&row.workload),
-                series.join(",")
-            )
-        })
-        .collect();
-    format!(
-        "{{\"schema\":1,\"figure\":\"timeline\",\"sweep\":{},\"every\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
-        r.every,
-        rows.join(","),
-    )
-}
-
-/// One `(core count, configuration)` cell of the multi-core scaling
-/// figure.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MulticoreRow {
-    /// Cores the system was configured with
-    /// ([`triangel_sim::SystemConfig::paper_n_core`]).
-    pub n_cores: usize,
-    /// Configuration label (e.g. `"Triangel"`).
-    pub config: String,
-    /// Per-core IPC, indexed by core. Computed from each core's own
-    /// retire clock — *not* from the aggregate max-over-cores cycle
-    /// count, which would understate every core but the slowest.
-    pub core_ipc: Vec<f64>,
-    /// Whole-system IPC (total instructions over the slowest core's
-    /// cycles).
-    pub aggregate_ipc: f64,
-    /// Total DRAM line reads across all channels.
-    pub dram_reads: u64,
-    /// Total cycles requests spent queued behind DRAM bandwidth (the
-    /// congestion indicator the channel scaling is meant to relieve).
-    pub dram_queue_delay: u64,
-    /// Markov-partition occupancy (entries) at the end of the run, 0
-    /// for prefetcher-less configurations.
-    pub markov_occupancy: u64,
-    /// L3 ways granted to the Markov partition at the end of the run.
-    pub markov_ways: u64,
-}
-
-/// The multi-core scaling artefact (`BENCH_multicore.json`): the same
-/// workload replicated across 1..N cores on the contended N-core
-/// timing model, under the stride-only baseline and Triangel. Carries
-/// no wall-clock numbers, so its bytes are fully deterministic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MulticoreReport {
-    /// Human description of the fixed sweep.
-    pub sweep: String,
-    /// Workload label each core runs.
-    pub workload: String,
-    /// One row per `(core count, configuration)`, core counts ascending.
-    pub rows: Vec<MulticoreRow>,
-}
-
-fn multicore_row_json(r: &MulticoreRow) -> String {
-    format!(
-        "{{\"n_cores\":{},\"config\":{},\"core_ipc\":{},\"aggregate_ipc\":{},\"dram_reads\":{},\"dram_queue_delay\":{},\"markov_occupancy\":{},\"markov_ways\":{}}}",
-        r.n_cores,
-        json_str(&r.config),
-        json_f64_list(&r.core_ipc),
-        json_f64(r.aggregate_ipc),
-        r.dram_reads,
-        r.dram_queue_delay,
-        r.markov_occupancy,
-        r.markov_ways,
-    )
-}
-
-/// Serializes a multi-core scaling report as JSON (the
-/// `BENCH_multicore.json` schema). Deterministic: equal reports emit
-/// equal bytes.
-pub fn multicore_to_json(r: &MulticoreReport) -> String {
-    let rows: Vec<String> = r.rows.iter().map(multicore_row_json).collect();
-    format!(
-        "{{\"schema\":1,\"figure\":\"multicore\",\"sweep\":{},\"workload\":{},\"rows\":[{}]}}",
-        json_str(&r.sweep),
-        json_str(&r.workload),
-        rows.join(","),
-    )
-}
-
-/// The per-run scalars worth publishing in machine-readable reports.
-fn run_summary_json(r: &RunReport) -> String {
-    format!(
-        "{{\"workload\":{},\"ipc\":{},\"dram_reads\":{},\"l3_accesses\":{},\"accuracy\":{},\"l2_demand_misses\":{},\"markov_ways\":{}}}",
-        json_str(&r.workload),
-        json_f64(r.ipc()),
-        r.dram_reads(),
-        r.l3_accesses(),
-        json_f64(r.accuracy()),
-        r.l2_demand_misses(),
-        r.markov_ways,
-    )
-}
-
 /// Serializes a sweep report as JSON: scheduler stats (including the
 /// cache-hit counter) and one summary per job, in job order.
 pub fn sweep_to_json(report: &SweepReport) -> String {
-    let jobs: Vec<String> = report
+    let jobs = report
         .keys
         .iter()
         .zip(&report.results)
-        .map(|(key, result)| match result {
-            Ok(run) => format!(
-                "{{\"key\":{},\"ok\":true,\"run\":{}}}",
-                json_str(key),
-                run_summary_json(run)
-            ),
-            Err(e) => format!(
-                "{{\"key\":{},\"ok\":false,\"error\":{}}}",
-                json_str(key),
-                json_str(&e.message)
-            ),
-        })
-        .collect();
-    format!(
-        "{{\"stats\":{{\"jobs\":{},\"executed\":{},\"cache_hits\":{},\"errors\":{}}},\"jobs\":[{}]}}",
-        report.stats.jobs,
-        report.stats.executed,
-        report.stats.cache_hits,
-        report.stats.errors,
-        jobs.join(","),
-    )
+        .map(|(key, result)| {
+            let key = ("key", key.as_str().into());
+            match result {
+                Ok(run) => Value::obj([
+                    key,
+                    ("ok", true.into()),
+                    (
+                        "run",
+                        Value::obj([
+                            ("workload", run.workload.as_str().into()),
+                            ("ipc", run.ipc().into()),
+                            ("dram_reads", run.dram_reads().into()),
+                            ("l3_accesses", run.l3_accesses().into()),
+                            ("accuracy", run.accuracy().into()),
+                            ("l2_demand_misses", run.l2_demand_misses().into()),
+                            ("markov_ways", run.markov_ways.into()),
+                        ]),
+                    ),
+                ]),
+                Err(e) => Value::obj([
+                    key,
+                    ("ok", false.into()),
+                    ("error", e.message.as_str().into()),
+                ]),
+            }
+        });
+    let stats = &report.stats;
+    Value::obj([
+        (
+            "stats",
+            Value::obj([
+                ("jobs", stats.jobs.into()),
+                ("executed", stats.executed.into()),
+                ("cache_hits", stats.cache_hits.into()),
+                ("errors", stats.errors.into()),
+            ]),
+        ),
+        ("jobs", jobs.collect()),
+    ])
+    .to_string()
 }
 
 #[cfg(test)]
@@ -753,206 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn perf_report_json_shape() {
-        let r = PerfReport {
-            sweep: "7 workloads x 3 configs".into(),
-            jobs: 21,
-            total_accesses: 2_100_000,
-            baseline: PerfRecord {
-                label: "pre".into(),
-                wall_ms: 2000.0,
-                accesses_per_sec: 1_050_000.0,
-            },
-            current: PerfRecord {
-                label: "now".into(),
-                wall_ms: 1000.0,
-                accesses_per_sec: 2_100_000.0,
-            },
-            scaling: vec![PerfScalingPoint {
-                workers: 2,
-                wall_ms: 600.0,
-                accesses_per_sec: 3_500_000.0,
-                speedup_vs_serial: 1.6666666666666667,
-            }],
-            cell_cost: PerfCellCost {
-                baseline_wall_ms: 100.0,
-                triangel_wall_ms: 125.0,
-                ratio: 1.25,
-            },
-        };
-        assert!((r.speedup() - 2.0).abs() < 1e-12);
-        let j = perf_to_json(&r);
-        assert!(j.contains("\"schema\":3"));
-        assert!(j.contains("\"figure\":\"perf\""));
-        assert!(j.contains("\"speedup\":2.0"));
-        assert!(j.contains("\"baseline\":{\"label\":\"pre\""));
-        assert!(j.contains("\"scaling\":[{\"workers\":2,"));
-        assert!(j.contains(
-            "\"cell_cost\":{\"baseline_wall_ms\":100.0,\"triangel_wall_ms\":125.0,\"ratio\":1.25}"
-        ));
-        assert_eq!(perf_to_json(&r), perf_to_json(&r));
-    }
-
-    #[test]
     fn emission_is_deterministic() {
         let t = table();
         assert_eq!(table_to_json(&t), table_to_json(&t));
         assert_eq!(table_to_csv(&t), table_to_csv(&t));
-    }
-
-    #[test]
-    fn timeline_report_json_shape() {
-        use triangel_obs::{IntervalSample, IntervalSeries};
-        let sample = |end: u64, instr: u64, cyc: u64, misses: u64, used: u64| IntervalSample {
-            end_access: end,
-            instructions: instr,
-            cycles: cyc,
-            l2_demand_hits: end,
-            l2_demand_misses: misses,
-            prefetches_issued: used * 2,
-            temporal_used: used,
-            temporal_wasted: used / 2,
-            markov_occupancy: 100,
-            markov_ways: 4,
-            desired_ways: 6,
-            ..Default::default()
-        };
-        let baseline = IntervalSeries {
-            every: 100,
-            samples: vec![sample(100, 400, 200, 80, 0), sample(200, 800, 400, 160, 0)],
-        };
-        let triangel = IntervalSeries {
-            every: 100,
-            samples: vec![
-                sample(100, 500, 200, 40, 10),
-                sample(200, 1000, 400, 80, 20),
-            ],
-        };
-        let row = TimelineRow {
-            workload: "MCF".into(),
-            series: vec![
-                TimelineSeries::from_intervals("Baseline", &baseline, None),
-                TimelineSeries::from_intervals("Triangel", &triangel, Some(&baseline)),
-            ],
-        };
-        assert_eq!(row.series[0].points[0].coverage_so_far, 0.0);
-        // 40 of the baseline's 80 cumulative misses eliminated.
-        assert!((row.series[1].points[0].coverage_so_far - 0.5).abs() < 1e-12);
-        assert!((row.series[1].points[1].coverage_so_far - 0.5).abs() < 1e-12);
-        assert!((row.series[1].points[1].ipc - 2.5).abs() < 1e-12);
-        let r = TimelineReport {
-            sweep: "1 workload x 2 configs".into(),
-            every: 100,
-            rows: vec![row],
-        };
-        let j = timeline_to_json(&r);
-        assert!(j.contains("\"schema\":1"));
-        assert!(j.contains("\"figure\":\"timeline\""));
-        assert!(j.contains("\"every\":100"));
-        assert!(j.contains("\"config\":\"Triangel\""));
-        assert!(j.contains("\"coverage_so_far\":0.5"));
-        assert_eq!(timeline_to_json(&r), timeline_to_json(&r));
-    }
-
-    #[test]
-    fn traces_report_json_shape() {
-        let cell = TraceCell {
-            config: "Triangel".into(),
-            speedup: 1.5,
-            accuracy: 0.75,
-            coverage: 0.5,
-            dram_traffic: 1.125,
-        };
-        let r = TracesReport {
-            sweep: "4 families + 1 trace x 2 configs".into(),
-            rows: vec![
-                TracesRow {
-                    workload: "ZipfKV".into(),
-                    provenance: TraceProvenance::Generator,
-                    cells: vec![cell.clone()],
-                },
-                TracesRow {
-                    workload: "smoke.trc".into(),
-                    provenance: TraceProvenance::Recorded {
-                        records: 1000,
-                        checksum: 0xabcd,
-                        replayed: 2500,
-                    },
-                    cells: vec![cell],
-                },
-            ],
-        };
-        let j = traces_to_json(&r);
-        assert!(j.contains("\"figure\":\"traces\""));
-        assert!(j.contains("\"source\":\"generator\",\"trace\":null"));
-        assert!(j.contains("\"checksum\":\"000000000000abcd\""));
-        assert!(j.contains("\"replayed\":2500,\"wraps\":2"));
-        assert!(j.contains("\"cells\":[{\"config\":\"Triangel\",\"speedup\":1.5,"));
-        assert_eq!(traces_to_json(&r), traces_to_json(&r));
-    }
-
-    #[test]
-    fn multicore_report_json_shape() {
-        let r = MulticoreReport {
-            sweep: "MCF x {1,2,4} cores x 2 configs".into(),
-            workload: "MCF".into(),
-            rows: vec![
-                MulticoreRow {
-                    n_cores: 1,
-                    config: "Baseline".into(),
-                    core_ipc: vec![1.5],
-                    aggregate_ipc: 1.5,
-                    dram_reads: 1000,
-                    dram_queue_delay: 40,
-                    markov_occupancy: 0,
-                    markov_ways: 0,
-                },
-                MulticoreRow {
-                    n_cores: 4,
-                    config: "Triangel".into(),
-                    core_ipc: vec![1.25, 1.0, 0.75, 0.5],
-                    aggregate_ipc: 0.875,
-                    dram_reads: 5000,
-                    dram_queue_delay: 900,
-                    markov_occupancy: 4096,
-                    markov_ways: 4,
-                },
-            ],
-        };
-        let j = multicore_to_json(&r);
-        assert!(j.contains("\"figure\":\"multicore\""));
-        assert!(j.contains("\"n_cores\":4"));
-        assert!(j.contains("\"core_ipc\":[1.25,1.0,0.75,0.5]"));
-        assert!(j.contains("\"dram_queue_delay\":900"));
-        assert!(j.contains("\"markov_occupancy\":4096"));
-        assert_eq!(multicore_to_json(&r), multicore_to_json(&r));
-    }
-
-    #[test]
-    fn features_report_json_shape() {
-        let cell = |s: f64| FeatureCell {
-            speedup: s,
-            accuracy: 0.5,
-            coverage: 0.25,
-            dram_traffic: 1.0,
-        };
-        let r = FeaturesReport {
-            sweep: "7 workloads x 9 steps x {off,on}".into(),
-            rows: vec![FeatureRow {
-                workload: "Xalan".into(),
-                steps: vec![FeatureStep {
-                    step: 0,
-                    label: "Triage-Deg-4".into(),
-                    off: cell(1.0),
-                    on: cell(1.25),
-                }],
-            }],
-        };
-        let j = features_to_json(&r);
-        assert!(j.contains("\"figure\":\"features\""));
-        assert!(j.contains("\"label\":\"Triage-Deg-4\""));
-        assert!(j.contains("\"off\":{\"speedup\":1.0,"));
-        assert!(j.contains("\"on\":{\"speedup\":1.25,"));
-        assert_eq!(features_to_json(&r), features_to_json(&r));
     }
 }

@@ -21,7 +21,9 @@
 //!   with fold-it-yourself results, or a declarative rows × columns
 //!   grid that folds [`RunReport`](triangel_sim::RunReport)s into
 //!   labeled [`FigureTable`](triangel_sim::report::FigureTable)s.
-//! * [`emit`] — JSON and CSV emitters for tables and sweep reports.
+//! * [`emit`] — table CSV, and table/sweep-report JSON built as
+//!   [`triangel_obs::json::Value`] documents (the workspace's one JSON
+//!   writer; figure artifacts build theirs the same way).
 //! * [`goldens`] — the pinned fixture sweeps, shared by the golden
 //!   tests and the `bless` re-bless devtool so they cannot drift.
 //! * [`filter::Pattern`] — a small regex engine (no dependencies) used

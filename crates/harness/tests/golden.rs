@@ -15,7 +15,9 @@
 //!
 //! A third test pins that the gate is *provably inert when off*: an
 //! explicit gate-off feature override produces byte-identical reports
-//! to no override at all.
+//! to no override at all. A fourth pins the workspace's one JSON
+//! writer against every committed JSON artifact: parse, write back,
+//! identical bytes.
 //!
 //! Regenerate (only when an *intentional* behaviour change is being
 //! made, and say so in the commit):
@@ -135,6 +137,31 @@ fn explicit_gate_off_override_is_byte_identical_to_no_override() {
             format!("{gated_off:?}"),
             "gate-off override changed behaviour for {}",
             job.key()
+        );
+    }
+}
+
+#[test]
+fn committed_json_round_trips_through_the_one_writer() {
+    let repo = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let files = [
+        repo.join("BENCH_features.json"),
+        repo.join("BENCH_multicore.json"),
+        repo.join("BENCH_perf.json"),
+        repo.join("BENCH_timeline.json"),
+        golden_fixture_path(),
+        evict_train_fixture_path(),
+        multicore_fixture_path(),
+    ];
+    for path in files {
+        let text =
+            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        let doc =
+            triangel_obs::json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert!(
+            doc.to_string() == text,
+            "{} does not round-trip byte for byte",
+            path.display()
         );
     }
 }

@@ -1,33 +1,41 @@
-//! Minimal hand-rolled JSON support: emit helpers and a validating
-//! parser.
+//! The workspace's one JSON model: [`Value`], its writer and a
+//! validating parser.
 //!
-//! The container is offline, so no serde. Emitters in this workspace
-//! build JSON with `format!`; this module provides the two primitives
-//! they share ([`escape`], [`fmt_f64`]) plus a small recursive-descent
-//! parser ([`parse`]) used by unit tests to pin that every emitted
-//! document is well-formed and round-trips its schema. Numbers keep
-//! their raw source token so `u64` counters survive exactly.
+//! The container is offline, so no serde. Every JSON document the
+//! workspace emits (figure tables, sweep reports, the `BENCH_*.json`
+//! artifacts, the Chrome trace, probe JSONL) is built as a [`Value`]
+//! and serialized by its [`Display`](std::fmt::Display) impl: compact
+//! (no whitespace), object fields in insertion order, numbers as their
+//! stored token. [`parse`] reads a document back into the same model,
+//! so parsing a compact document and writing it again reproduces its
+//! bytes. Numbers keep their raw token so `u64` counters survive
+//! exactly. [`escape`] and [`fmt_f64`] expose the writer's string and
+//! float tokens on their own.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
+
+/// Writes `s` as a JSON string literal, including the surrounding
+/// quotes.
+fn write_escaped(out: &mut impl fmt::Write, s: &str) -> fmt::Result {
+    out.write_char('"')?;
+    for c in s.chars() {
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c if (c as u32) < 0x20 => write!(out, "\\u{:04x}", c as u32)?,
+            c => out.write_char(c)?,
+        }
+    }
+    out.write_char('"')
+}
 
 /// Escapes `s` as a JSON string, including the surrounding quotes.
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+    write_escaped(&mut out, s).expect("writing to a String cannot fail");
     out
 }
 
@@ -36,34 +44,43 @@ pub fn escape(s: &str) -> String {
 /// Uses Rust's shortest round-trip representation; non-finite values
 /// (which JSON cannot carry) become `null`.
 pub fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:?}")
-    } else {
-        "null".to_string()
-    }
+    Value::from(v).to_string()
 }
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what every emitter builds.
 ///
 /// Objects preserve key order; numbers keep their raw token (see
-/// [`Value::as_u64`] / [`Value::as_f64`]).
+/// [`Value::as_u64`] / [`Value::as_f64`]). Build documents with the
+/// `From` conversions (`u64`/`usize`, `f64`, `bool`, strings),
+/// [`Value::obj`] and `collect()`; write them with `to_string()`.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// A number, stored as its raw source token.
+    /// A number, stored as its token (verbatim from the source when
+    /// parsed).
     Num(String),
     /// A string (unescaped).
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object, in source order.
+    /// An object, fields in insertion (or source) order.
     Obj(Vec<(String, Value)>),
 }
 
 impl Value {
+    /// An object with `fields` in the given order.
+    pub fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Value)>) -> Value {
+        Value::Obj(
+            fields
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+        )
+    }
+
     /// Object field lookup (first match).
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
@@ -106,6 +123,93 @@ impl Value {
     }
 }
 
+/// The writer: compact JSON, fields in order, number tokens verbatim.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Value::Null => f.write_str("null"),
+            Value::Bool(b) => write!(f, "{b}"),
+            Value::Num(tok) => f.write_str(tok),
+            Value::Str(s) => write_escaped(f, s),
+            Value::Arr(items) => {
+                f.write_char('[')?;
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write!(f, "{v}")?;
+                }
+                f.write_char(']')
+            }
+            Value::Obj(fields) => {
+                f.write_char('{')?;
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        f.write_char(',')?;
+                    }
+                    write_escaped(f, k)?;
+                    write!(f, ":{v}")?;
+                }
+                f.write_char('}')
+            }
+        }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Self {
+        Value::Num(v.to_string())
+    }
+}
+
+impl From<usize> for Value {
+    fn from(v: usize) -> Self {
+        Value::Num(v.to_string())
+    }
+}
+
+/// Shortest round-trip token; non-finite values become `null`.
+impl From<f64> for Value {
+    fn from(v: f64) -> Self {
+        if v.is_finite() {
+            Value::Num(format!("{v:?}"))
+        } else {
+            Value::Null
+        }
+    }
+}
+
+impl From<bool> for Value {
+    fn from(v: bool) -> Self {
+        Value::Bool(v)
+    }
+}
+
+impl From<&str> for Value {
+    fn from(v: &str) -> Self {
+        Value::Str(v.to_string())
+    }
+}
+
+impl From<String> for Value {
+    fn from(v: String) -> Self {
+        Value::Str(v)
+    }
+}
+
+impl<T: Into<Value>> From<Vec<T>> for Value {
+    fn from(v: Vec<T>) -> Self {
+        v.into_iter().collect()
+    }
+}
+
+/// Collects into an array.
+impl<T: Into<Value>> FromIterator<T> for Value {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        Value::Arr(iter.into_iter().map(Into::into).collect())
+    }
+}
+
 /// Parses a complete JSON document.
 ///
 /// # Errors
@@ -114,6 +218,7 @@ impl Value {
 /// byte offset.
 pub fn parse(src: &str) -> Result<Value, String> {
     let mut p = Parser {
+        src,
         bytes: src.as_bytes(),
         pos: 0,
     };
@@ -136,6 +241,7 @@ pub fn validate(src: &str) -> Result<(), String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -216,9 +322,7 @@ impl Parser<'_> {
                 return Err(format!("bad number at byte {start}"));
             }
         }
-        let tok = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("bad number at byte {start}"))?;
-        Ok(Value::Num(tok.to_string()))
+        Ok(Value::Num(self.src[start..self.pos].to_string()))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -244,10 +348,9 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .src
                                 .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+                                .ok_or("bad \\u escape")?;
                             let code =
                                 u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
                             // Surrogates are not recombined; tests only
@@ -259,16 +362,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control char at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8".to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control char at byte {}", self.pos));
+                    // Copy the run up to the next quote, backslash or
+                    // control byte. All three are ASCII, so the run ends
+                    // on a char boundary of the already-valid `src`.
+                    let start = self.pos;
+                    while let Some(b) = self.peek() {
+                        if b == b'"' || b == b'\\' || b < 0x20 {
+                            break;
+                        }
+                        self.pos += 1;
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -369,6 +477,39 @@ mod tests {
         assert!(validate("{\"a\" 1}").is_err());
         assert!(validate("12 34").is_err());
         assert!(validate("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn writer_is_compact_and_ordered() {
+        let doc = Value::obj([
+            ("z", 1u64.into()),
+            ("a", vec![0.5, 2.0, f64::NAN].into()),
+            ("s", "q\"\u{1}".into()),
+            ("o", Value::obj([("t", true.into()), ("n", Value::Null)])),
+            ("e", Value::Arr(vec![])),
+            ("u", usize::MAX.into()),
+        ]);
+        let text = doc.to_string();
+        assert_eq!(
+            text,
+            format!(
+                r#"{{"z":1,"a":[0.5,2.0,null],"s":"q\"\u0001","o":{{"t":true,"n":null}},"e":[],"u":{}}}"#,
+                usize::MAX
+            )
+        );
+        assert_eq!(parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn multi_mib_string_round_trips() {
+        // Linear-time parse: a quadratic scan of the remaining input
+        // per character would take minutes here.
+        let unit = "plain ascii, \"quoted\", back\\slash, tab\t, nl\n, é, 漢字, 🦀; ";
+        let big = unit.repeat((4 << 20) / unit.len());
+        let text = Value::obj([("s", big.as_str().into())]).to_string();
+        let back = parse(&text).unwrap();
+        assert_eq!(back.get("s").and_then(Value::as_str), Some(big.as_str()));
+        assert_eq!(back.to_string(), text);
     }
 
     #[test]

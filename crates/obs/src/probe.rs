@@ -9,7 +9,9 @@
 //! simulation state always yields the same set, so probe output can be
 //! compared across `--jobs` counts and interrupt→resume boundaries.
 
-use crate::json;
+use std::fmt::Write as _;
+
+use crate::json::{self, Value};
 
 /// A component that exports named counters.
 ///
@@ -88,11 +90,8 @@ impl ProbeSet {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for (name, value) in &self.entries {
-            out.push_str(&format!(
-                "{{\"name\":{},\"value\":{}}}\n",
-                json::escape(name),
-                value
-            ));
+            let line = Value::obj([("name", name.as_str().into()), ("value", (*value).into())]);
+            writeln!(out, "{line}").expect("writing to a String cannot fail");
         }
         out
     }

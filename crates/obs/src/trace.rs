@@ -9,14 +9,16 @@
 //! thread. [`TraceBuffer::to_json`] emits a `{"traceEvents":[...]}`
 //! document loadable in Perfetto (<https://ui.perfetto.dev>) or
 //! `chrome://tracing`; worker-thread lanes fall out of the per-thread
-//! `tid` assignment, so pool utilization is visible directly.
+//! `tid` assignment, so pool utilization is visible directly. The
+//! thread that created the buffer is always lane 0 (`harness-main`),
+//! whichever thread records first.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 use std::thread::ThreadId;
 use std::time::Instant;
 
-use crate::json;
+use crate::json::Value;
 
 /// A typed event argument.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,12 +31,12 @@ pub enum TraceArg {
     Str(String),
 }
 
-impl TraceArg {
-    fn to_json(&self) -> String {
-        match self {
-            TraceArg::U64(v) => v.to_string(),
-            TraceArg::F64(v) => json::fmt_f64(*v),
-            TraceArg::Str(s) => json::escape(s),
+impl From<&TraceArg> for Value {
+    fn from(arg: &TraceArg) -> Self {
+        match arg {
+            TraceArg::U64(v) => (*v).into(),
+            TraceArg::F64(v) => (*v).into(),
+            TraceArg::Str(s) => s.as_str().into(),
         }
     }
 }
@@ -43,17 +45,18 @@ impl TraceArg {
 struct Event {
     name: String,
     cat: String,
-    ph: char,
+    ph: &'static str,
     ts_us: u64,
     dur_us: Option<u64>,
     tid: u32,
     args: Vec<(String, TraceArg)>,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Inner {
     events: Vec<Event>,
-    /// OS thread → dense tid, in first-seen order.
+    /// OS thread → dense tid: the creating thread is 0, the others
+    /// follow in first-seen order.
     tids: HashMap<ThreadId, u32>,
 }
 
@@ -74,11 +77,15 @@ impl Default for TraceBuffer {
 }
 
 impl TraceBuffer {
-    /// An empty buffer whose timebase starts now.
+    /// An empty buffer whose timebase starts now; the calling thread
+    /// owns lane 0.
     pub fn new() -> Self {
         TraceBuffer {
             epoch: Instant::now(),
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner {
+                events: Vec::new(),
+                tids: HashMap::from([(std::thread::current().id(), 0)]),
+            }),
         }
     }
 
@@ -106,7 +113,7 @@ impl TraceBuffer {
         self.push(|now, tid| Event {
             name: name.to_string(),
             cat: cat.to_string(),
-            ph: 'X',
+            ph: "X",
             ts_us: start_us,
             dur_us: Some(now.saturating_sub(start_us)),
             tid,
@@ -120,7 +127,7 @@ impl TraceBuffer {
         self.push(|now, tid| Event {
             name: name.to_string(),
             cat: "counter".to_string(),
-            ph: 'C',
+            ph: "C",
             ts_us: now,
             dur_us: None,
             tid,
@@ -133,7 +140,7 @@ impl TraceBuffer {
         self.push(|now, tid| Event {
             name: name.to_string(),
             cat: cat.to_string(),
-            ph: 'i',
+            ph: "i",
             ts_us: now,
             dur_us: None,
             tid,
@@ -153,51 +160,47 @@ impl TraceBuffer {
 
     /// Serializes the buffer as a Chrome `trace_event` JSON document:
     /// `{"traceEvents":[...]}` with `thread_name` metadata for each
-    /// recording thread.
+    /// lane.
     pub fn to_json(&self) -> String {
         let inner = self.inner.lock().unwrap();
-        let mut parts: Vec<String> = Vec::with_capacity(inner.events.len() + inner.tids.len());
         let mut tids: Vec<u32> = inner.tids.values().copied().collect();
         tids.sort_unstable();
-        for tid in tids {
+        let lanes = tids.into_iter().map(|tid| {
             let label = if tid == 0 {
                 "harness-main".to_string()
             } else {
                 format!("worker-{tid}")
             };
-            parts.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":{}}}}}",
-                json::escape(&label)
-            ));
-        }
-        for ev in &inner.events {
+            Value::obj([
+                ("name", "thread_name".into()),
+                ("ph", "M".into()),
+                ("pid", 1u64.into()),
+                ("tid", u64::from(tid).into()),
+                ("args", Value::obj([("name", label.into())])),
+            ])
+        });
+        let events = inner.events.iter().map(|ev| {
             let mut fields = vec![
-                format!("\"name\":{}", json::escape(&ev.name)),
-                format!("\"cat\":{}", json::escape(&ev.cat)),
-                format!("\"ph\":\"{}\"", ev.ph),
-                format!("\"ts\":{}", ev.ts_us),
-                "\"pid\":1".to_string(),
-                format!("\"tid\":{}", ev.tid),
+                ("name", ev.name.as_str().into()),
+                ("cat", ev.cat.as_str().into()),
+                ("ph", ev.ph.into()),
+                ("ts", ev.ts_us.into()),
+                ("pid", 1u64.into()),
+                ("tid", u64::from(ev.tid).into()),
             ];
             if let Some(dur) = ev.dur_us {
-                fields.push(format!("\"dur\":{dur}"));
+                fields.push(("dur", dur.into()));
             }
-            if ev.ph == 'i' {
-                fields.push("\"s\":\"t\"".to_string());
+            if ev.ph == "i" {
+                fields.push(("s", "t".into()));
             }
             if !ev.args.is_empty() {
-                let args = ev
-                    .args
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", json::escape(k), v.to_json()))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                fields.push(format!("\"args\":{{{args}}}"));
+                let args = ev.args.iter().map(|(k, v)| (k.as_str(), v.into()));
+                fields.push(("args", Value::obj(args)));
             }
-            parts.push(format!("{{{}}}", fields.join(",")));
-        }
-        format!("{{\"traceEvents\":[{}]}}", parts.join(","))
+            Value::obj(fields)
+        });
+        Value::obj([("traceEvents", lanes.chain(events).collect())]).to_string()
     }
 }
 
@@ -283,6 +286,45 @@ mod tests {
             .map(|e| e.get("tid").and_then(Value::as_u64).unwrap())
             .collect();
         assert_eq!(tids.len(), 2);
+    }
+
+    #[test]
+    fn creator_owns_lane_zero_even_when_recording_last() {
+        let buf = std::sync::Arc::new(TraceBuffer::new());
+        let b2 = buf.clone();
+        std::thread::spawn(move || {
+            let t = b2.now_us();
+            b2.complete("job", "job", t, vec![]);
+        })
+        .join()
+        .unwrap();
+        let t0 = buf.now_us();
+        buf.complete("sweep", "sweep", t0, vec![]);
+        let v = parse(&buf.to_json()).unwrap();
+        let events = v.get("traceEvents").unwrap().as_arr().unwrap();
+        let field = |e: &Value, k: &str| e.get(k).and_then(Value::as_str).map(str::to_string);
+        let tid_of = |name: &str| {
+            events
+                .iter()
+                .find(|e| {
+                    field(e, "ph").as_deref() != Some("M")
+                        && field(e, "name").as_deref() == Some(name)
+                })
+                .and_then(|e| e.get("tid").and_then(Value::as_u64))
+                .unwrap()
+        };
+        let lane_name = |tid: u64| {
+            events
+                .iter()
+                .find(|e| {
+                    field(e, "ph").as_deref() == Some("M")
+                        && e.get("tid").and_then(Value::as_u64) == Some(tid)
+                })
+                .and_then(|e| e.get("args").and_then(|a| field(a, "name")))
+                .unwrap()
+        };
+        assert_eq!(lane_name(tid_of("sweep")), "harness-main");
+        assert_eq!(lane_name(tid_of("job")), "worker-1");
     }
 
     #[test]
