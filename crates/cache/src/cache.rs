@@ -2,6 +2,7 @@
 
 use crate::config::CacheConfig;
 use crate::replacement::{all_ways, AccessMeta, ReplacementImpl, ReplacementPolicy, WayMask};
+use std::cell::Cell;
 use triangel_types::{Cycle, FillSource, LineAddr, LineMeta, Pc};
 
 /// Bits of [`Line::state`] holding the fill ordinal; a cache's fill
@@ -23,6 +24,9 @@ const SOURCE_SHIFT: u32 = 59;
 /// `Line::fill_pc` value meaning "no PC". Engine PCs carry the core
 /// index at bit 40 and stay far below it.
 const NO_PC: u64 = u64::MAX;
+/// [`Cache`]'s known-absent value meaning "no line". No line with this
+/// index can be installed (a byte address's line index is below 2^58).
+const NO_LINE: u64 = u64::MAX;
 
 /// One cache line's bookkeeping state, including the simulation
 /// metadata word ([`LineMeta`]) that used to live in `MemorySystem`
@@ -260,6 +264,25 @@ impl triangel_obs::Probe for CacheStats {
 /// assert!(out.hit && out.prefetch_hit); // first demand use of a prefetch
 /// assert!(!c.access(line, None, false).prefetch_hit); // tag consumed
 /// ```
+///
+/// # Derived state
+///
+/// Two fields are derived from the lines and way mask, never
+/// serialized, and recomputed by [`restore`](Snapshot::restore); they
+/// let a miss scan its set once instead of three times (lookup, the
+/// fill's own lookup, the fill's invalid-way search):
+///
+/// * **Known-absent line.** A lookup that misses remembers its line.
+///   Only installing that same line can make it resident, so until
+///   then `find` and `fill_at` answer "absent" without scanning.
+///   [`set_way_mask`](Cache::set_way_mask) and `restore` forget it.
+/// * **Invalid lines inside the way mask**, counted over all sets. An
+///   install into an invalid way decrements it, an invalidation inside
+///   the mask increments it, and `set_way_mask` and `restore` recount
+///   it. While it is 0 every eligible way in every set holds a valid
+///   line, so `fill_at` goes straight to the victim.
+///
+/// Debug builds cross-check both against the set on every fill.
 #[derive(Debug)]
 pub struct Cache {
     cfg: CacheConfig,
@@ -275,17 +298,31 @@ pub struct Cache {
     /// ordinals from before a measurement reset would compare wrongly
     /// against evictions after it.
     fill_clock: u64,
-    /// Geometry cached out of `cfg` — `CacheConfig::sets` divides, and
-    /// the hot path indexes on every access.
-    ways: usize,
-    set_mask: usize,
+    /// Set-index mask cached out of `cfg` — `CacheConfig::sets`
+    /// divides, and the hot path indexes on every access.
+    set_mask: u32,
+    /// Invalid lines in ways inside `way_mask`, over all sets.
+    invalid_in_mask: u32,
+    /// Index of the line the latest missing lookup scanned for, if it
+    /// has not been installed since, else [`NO_LINE`] (see "Derived
+    /// state"). A `Cell` because the read-only lookups (`contains`,
+    /// `line_meta`) set it too. It and the two `u32`s above fit in the
+    /// bytes a `usize` ways and set mask would take: a larger `Cache`
+    /// shifts the simulator's heap layout, which on `spec_sweep` raised
+    /// perfbench's peak RSS by 1 MiB with no more live memory.
+    known_absent: Cell<u64>,
 }
 
 impl Cache {
     /// Builds a cache from its configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache has 2^32 lines or more.
     pub fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets();
         let ways = cfg.ways();
+        let lines = u32::try_from(sets * ways).expect("cache has fewer than 2^32 lines");
         let policy = cfg.policy().build_impl(sets, ways);
         Cache {
             lines: vec![Line::EMPTY; sets * ways],
@@ -294,8 +331,9 @@ impl Cache {
             cfg,
             stats: CacheStats::default(),
             fill_clock: 0,
-            ways,
-            set_mask: sets - 1,
+            set_mask: (sets - 1) as u32,
+            invalid_in_mask: lines,
+            known_absent: Cell::new(NO_LINE),
         }
     }
 
@@ -316,25 +354,50 @@ impl Cache {
 
     /// Returns the set index a line maps to.
     pub fn set_of(&self, line: LineAddr) -> usize {
-        (line.index() as usize) & self.set_mask
+        (line.index() as usize) & self.set_mask as usize
+    }
+
+    fn ways(&self) -> usize {
+        self.cfg.ways()
     }
 
     fn slot(&self, set: usize, way: usize) -> usize {
-        set * self.ways + way
+        set * self.ways() + way
     }
 
     fn find(&self, line: LineAddr) -> Option<(usize, usize)> {
+        if self.known_absent.get() == line.index() {
+            return None;
+        }
         let set = self.set_of(line);
-        let ways = self.ways;
-        let base = set * ways;
-        // One contiguous scan of the set's 32 B line records (every
-        // access walks it at least once). Profiles show its cost is the
-        // host cache misses on the records, not the comparisons, which
-        // is why the records are packed rather than the tags split out.
-        self.lines[base..base + ways]
+        let found = self.scan(set, line).map(|w| (set, w));
+        if found.is_none() {
+            self.known_absent.set(line.index());
+        }
+        found
+    }
+
+    /// The way of `set` holding `line`, if any.
+    fn scan(&self, set: usize, line: LineAddr) -> Option<usize> {
+        let base = set * self.ways();
+        // One contiguous scan of the set's 32 B line records. Profiles
+        // show its cost is the host cache misses on the records, not
+        // the comparisons, which is why the records are packed rather
+        // than the tags split out.
+        self.lines[base..base + self.ways()]
             .iter()
             .position(|l| l.tag == line && l.valid())
-            .map(|w| (set, w))
+    }
+
+    /// Counts the invalid lines in ways inside the way mask.
+    fn count_invalid_in_mask(&self) -> u32 {
+        let invalid = self
+            .lines
+            .chunks_exact(self.ways())
+            .flat_map(|set| set.iter().enumerate())
+            .filter(|(way, l)| self.way_mask & (1 << way) != 0 && !l.valid())
+            .count();
+        invalid as u32 // at most the line count, which `new` bounds
     }
 
     /// Looks up `line`, updating replacement and prefetch-tag state.
@@ -425,7 +488,9 @@ impl Cache {
     /// # Panics
     ///
     /// Panics if `pc` is `Pc::new(u64::MAX)` (the line record's no-PC
-    /// marker) or the fill clock passes 2^56 − 1 installing fills.
+    /// marker), if an absent `line` is `LineAddr::new(u64::MAX)` (the
+    /// no-line marker), or if the fill clock passes 2^56 − 1 installing
+    /// fills.
     pub fn fill_at(
         &mut self,
         line: LineAddr,
@@ -456,18 +521,34 @@ impl Cache {
             };
         }
 
+        assert!(
+            line.index() != NO_LINE,
+            "line collides with the no-line sentinel"
+        );
         self.stats.fills += 1;
         self.fill_clock += 1;
         let set = self.set_of(line);
+        let eligible_invalid =
+            |w: &usize| self.way_mask & (1 << w) != 0 && !self.lines[self.slot(set, *w)].valid();
+        debug_assert!(
+            self.scan(set, line).is_none(),
+            "known-absent memo skipped a resident line"
+        );
+        debug_assert!(
+            self.invalid_in_mask != 0 || !(0..self.ways()).any(|w| eligible_invalid(&w)),
+            "invalid-line count is 0 but the set has an eligible invalid way"
+        );
         // Fill an invalid eligible way first.
-        let way = (0..self.cfg.ways())
-            .filter(|w| self.way_mask & (1 << w) != 0)
-            .find(|w| !self.lines[self.slot(set, *w)].valid())
-            .unwrap_or_else(|| {
-                let w = self.policy.victim(set, self.way_mask);
-                debug_assert!(self.way_mask & (1 << w) != 0);
-                w
-            });
+        let invalid_way = if self.invalid_in_mask == 0 {
+            None
+        } else {
+            (0..self.ways()).find(eligible_invalid)
+        };
+        let way = invalid_way.unwrap_or_else(|| {
+            let w = self.policy.victim(set, self.way_mask);
+            debug_assert!(self.way_mask & (1 << w) != 0);
+            w
+        });
 
         let slot = self.slot(set, way);
         let evicted = if self.lines[slot].valid() {
@@ -476,6 +557,12 @@ impl Cache {
             self.policy.on_evict(set, way, old.tag);
             Some(old.to_evicted(self.fill_clock))
         } else {
+            // The way is invalid and inside the mask, so the count
+            // includes it; 0 here means the count drifted.
+            self.invalid_in_mask = self
+                .invalid_in_mask
+                .checked_sub(1)
+                .expect("invalid-line count out of step with the lines");
             None
         };
 
@@ -485,6 +572,9 @@ impl Cache {
             state: Line::pack_state(self.fill_clock, true, tagged, !tagged, source),
             fill_pc: Line::pack_pc(pc),
         };
+        if self.known_absent.get() == line.index() {
+            self.known_absent.set(NO_LINE);
+        }
         self.policy.on_fill(set, way, &meta);
         FillOutcome { evicted, set, way }
     }
@@ -499,6 +589,9 @@ impl Cache {
         let slot = self.slot(set, way);
         let old = self.lines[slot];
         self.lines[slot].state &= !VALID;
+        if self.way_mask & (1 << way) != 0 {
+            self.invalid_in_mask += 1;
+        }
         self.policy.on_invalidate(set, way);
         old.to_evicted(self.fill_clock)
     }
@@ -527,6 +620,8 @@ impl Cache {
                 }
             }
         }
+        self.known_absent.set(NO_LINE);
+        self.invalid_in_mask = self.count_invalid_in_mask();
         flushed
     }
 
@@ -621,9 +716,24 @@ impl Snapshot for Cache {
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        let restored = self.restore_fields(r);
+        // Re-derive even after a failed restore, which may have
+        // overwritten some lines.
+        self.known_absent.set(NO_LINE);
+        self.invalid_in_mask = self.count_invalid_in_mask();
+        restored
+    }
+}
+
+impl Cache {
+    fn restore_fields(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         r.expect_len(self.lines.len(), "cache lines")?;
         for line in &mut self.lines {
             line.restore(r)?;
+            snap_check(
+                !line.valid() || line.tag.index() != NO_LINE,
+                "resident line equals the no-line sentinel",
+            )?;
         }
         self.policy.restore(r)?;
         self.way_mask = r.u64()?;

@@ -1,6 +1,6 @@
 //! First-in first-out replacement.
 
-use super::{AccessMeta, ReplacementPolicy, WayMask};
+use super::{check_victim_mask, AccessMeta, ReplacementPolicy, WayMask};
 
 /// FIFO: the victim is the eligible way filled longest ago; hits do not
 /// change priority.
@@ -38,7 +38,7 @@ impl ReplacementPolicy for Fifo {
     }
 
     fn victim(&mut self, set: usize, mask: WayMask) -> usize {
-        assert!(mask != 0, "victim called with empty way mask");
+        check_victim_mask(mask, self.ways);
         (0..self.ways)
             .filter(|w| mask & (1 << w) != 0)
             .min_by_key(|w| self.stamp[set * self.ways + w])

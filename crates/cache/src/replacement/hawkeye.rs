@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use super::{AccessMeta, ReplacementPolicy, WayMask};
+use super::{check_victim_mask, AccessMeta, ReplacementPolicy, WayMask};
 use triangel_types::{xor_fold, LineAddr, Pc, SaturatingCounter};
 
 const RRPV_MAX: u8 = 7; // 3-bit RRPVs, as in the HawkEye paper.
@@ -187,7 +187,7 @@ impl ReplacementPolicy for HawkEye {
     }
 
     fn victim(&mut self, set: usize, mask: WayMask) -> usize {
-        assert!(mask != 0, "victim called with empty way mask");
+        check_victim_mask(mask, self.ways);
         // Prefer a cache-averse line.
         if let Some(w) = (0..self.ways)
             .filter(|w| mask & (1 << w) != 0)

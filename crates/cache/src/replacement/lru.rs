@@ -1,6 +1,6 @@
 //! True least-recently-used replacement.
 
-use super::{AccessMeta, ReplacementPolicy, WayMask};
+use super::{check_victim_mask, AccessMeta, ReplacementPolicy, WayMask};
 
 /// True LRU: a monotone timestamp per (set, way); the victim is the
 /// eligible way with the smallest timestamp.
@@ -42,7 +42,7 @@ impl ReplacementPolicy for Lru {
     }
 
     fn victim(&mut self, set: usize, mask: WayMask) -> usize {
-        assert!(mask != 0, "victim called with empty way mask");
+        check_victim_mask(mask, self.ways);
         (0..self.ways)
             .filter(|w| mask & (1 << w) != 0)
             .min_by_key(|w| self.stamp[set * self.ways + w])

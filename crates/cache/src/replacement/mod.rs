@@ -77,6 +77,17 @@ pub const fn all_ways(ways: usize) -> WayMask {
     }
 }
 
+/// Panics unless `mask` selects at least one of a set's `ways` ways.
+/// Every policy's `victim` calls it first: a mask whose bits all lie at
+/// or above `ways` leaves nothing to choose, and RRIP's aging loop would
+/// spin on it forever.
+fn check_victim_mask(mask: WayMask, ways: usize) {
+    assert!(
+        mask & all_ways(ways) != 0,
+        "victim called with a way mask that selects no way"
+    );
+}
+
 /// The per-set replacement protocol.
 ///
 /// The cache guarantees that `victim` is called only when every eligible
@@ -93,7 +104,7 @@ pub trait ReplacementPolicy: std::fmt::Debug {
     ///
     /// # Panics
     ///
-    /// Implementations may panic if `mask` is empty.
+    /// The shipped policies panic if `mask` selects no way of the set.
     fn victim(&mut self, set: usize, mask: WayMask) -> usize;
 
     /// Records that `(set, way)` was invalidated (e.g. by a partition
@@ -369,6 +380,59 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Asks a full 4-way set of `kind` for a victim among ways that do
+    /// not exist.
+    fn victim_beyond_the_ways(kind: PolicyKind) {
+        let mut p = kind.build_impl(1, 4);
+        let meta = AccessMeta::demand(LineAddr::new(1), Some(Pc::new(2)));
+        for way in 0..4 {
+            p.on_fill(0, way, &meta);
+        }
+        p.victim(0, 0b1_0000);
+    }
+
+    #[test]
+    #[should_panic(expected = "selects no way")]
+    fn lru_victim_rejects_a_mask_beyond_the_ways() {
+        victim_beyond_the_ways(PolicyKind::Lru);
+    }
+
+    #[test]
+    #[should_panic(expected = "selects no way")]
+    fn fifo_victim_rejects_a_mask_beyond_the_ways() {
+        victim_beyond_the_ways(PolicyKind::Fifo);
+    }
+
+    #[test]
+    #[should_panic(expected = "selects no way")]
+    fn random_victim_rejects_a_mask_beyond_the_ways() {
+        victim_beyond_the_ways(PolicyKind::Random);
+    }
+
+    #[test]
+    #[should_panic(expected = "selects no way")]
+    fn plru_victim_rejects_a_mask_beyond_the_ways() {
+        victim_beyond_the_ways(PolicyKind::TreePlru);
+    }
+
+    #[test]
+    #[should_panic(expected = "selects no way")]
+    fn srrip_victim_rejects_a_mask_beyond_the_ways() {
+        victim_beyond_the_ways(PolicyKind::Srrip);
+    }
+
+    #[test]
+    #[should_panic(expected = "selects no way")]
+    fn brrip_victim_rejects_a_mask_beyond_the_ways() {
+        victim_beyond_the_ways(PolicyKind::Brrip);
+    }
+
+    #[test]
+    #[should_panic(expected = "selects no way")]
+    fn hawkeye_victim_rejects_a_mask_beyond_the_ways() {
+        victim_beyond_the_ways(PolicyKind::Hawkeye);
     }
 
     #[test]

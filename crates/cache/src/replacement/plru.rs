@@ -1,6 +1,6 @@
 //! Tree pseudo-LRU replacement.
 
-use super::{AccessMeta, ReplacementPolicy, WayMask};
+use super::{check_victim_mask, AccessMeta, ReplacementPolicy, WayMask};
 
 /// Tree-PLRU: one bit per internal node of a binary tree over the ways;
 /// each bit points away from the most recently used half.
@@ -77,7 +77,7 @@ impl ReplacementPolicy for TreePlru {
     }
 
     fn victim(&mut self, set: usize, mask: WayMask) -> usize {
-        assert!(mask != 0, "victim called with empty way mask");
+        check_victim_mask(mask, self.ways);
         let v = self.walk_victim(set);
         if v < self.ways && mask & (1 << v) != 0 {
             return v;

@@ -1,6 +1,6 @@
 //! Uniform-random replacement.
 
-use super::{AccessMeta, ReplacementPolicy, WayMask};
+use super::{check_victim_mask, AccessMeta, ReplacementPolicy, WayMask};
 use triangel_types::rng::Lcg;
 
 /// Random replacement: a uniformly chosen eligible way.
@@ -31,7 +31,7 @@ impl ReplacementPolicy for Random {
     fn on_fill(&mut self, _set: usize, _way: usize, _meta: &AccessMeta) {}
 
     fn victim(&mut self, _set: usize, mask: WayMask) -> usize {
-        assert!(mask != 0, "victim called with empty way mask");
+        check_victim_mask(mask, self.ways);
         let eligible: Vec<usize> = (0..self.ways).filter(|w| mask & (1 << w) != 0).collect();
         eligible[self.rng.next_below(eligible.len() as u64) as usize]
     }

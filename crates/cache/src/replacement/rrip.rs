@@ -1,6 +1,6 @@
 //! Re-reference interval prediction (SRRIP / BRRIP).
 
-use super::{AccessMeta, ReplacementPolicy, WayMask};
+use super::{check_victim_mask, AccessMeta, ReplacementPolicy, WayMask};
 use triangel_types::rng::Lcg;
 
 const RRPV_BITS: u32 = 2;
@@ -69,7 +69,7 @@ impl ReplacementPolicy for Rrip {
     }
 
     fn victim(&mut self, set: usize, mask: WayMask) -> usize {
-        assert!(mask != 0, "victim called with empty way mask");
+        check_victim_mask(mask, self.ways);
         loop {
             // Find an eligible way at the distant interval.
             if let Some(w) = (0..self.ways)
