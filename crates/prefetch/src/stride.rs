@@ -96,14 +96,25 @@ impl StridePrefetcher {
         entry.last_line = ev.line;
         if entry.confidence >= 2 {
             let stride = entry.stride;
-            for d in 1..=self.degree as i64 {
+            let line = ev.line.index();
+            // A stream walking off either end of the line space stops
+            // there instead of wrapping around: `n` targets fit.
+            let room = if stride < 0 { line } else { u64::MAX - line };
+            let step = stride.unsigned_abs();
+            let degree = self.degree as u64;
+            let n = match step.checked_mul(degree) {
+                Some(span) if span <= room => degree,
+                _ => room / step,
+            };
+            for d in 1..=n {
                 out.push(PrefetchRequest {
-                    line: ev.line.offset(stride * d),
+                    // Exact: the target lies within the line space.
+                    line: LineAddr::new(line.wrapping_add((stride as u64).wrapping_mul(d))),
                     pc: ev.pc,
                     issue_delay: 0,
                 });
             }
-            self.issued += self.degree as u64;
+            self.issued += n;
         }
     }
 
@@ -218,6 +229,28 @@ mod tests {
         let out = drive(&mut pf, 1, &[100, 97, 94, 91]);
         let lines: Vec<u64> = out.iter().map(|r| r.line.index()).collect();
         assert_eq!(lines, vec![88, 85]);
+    }
+
+    #[test]
+    fn descending_stream_stops_at_line_zero() {
+        let mut pf = StridePrefetcher::new(16, 8);
+        let out = drive(&mut pf, 1, &[9, 7, 5, 3]);
+        let lines: Vec<u64> = out.iter().map(|r| r.line.index()).collect();
+        assert_eq!(lines, vec![1]);
+        assert_eq!(pf.stats().prefetches_issued, 1);
+        // At line 0 nothing lies below: no request at all.
+        let out = drive(&mut pf, 1, &[1]);
+        assert!(out.is_empty(), "{out:?}");
+        assert_eq!(pf.stats().prefetches_issued, 1);
+    }
+
+    #[test]
+    fn ascending_stream_stops_at_the_last_line() {
+        let mut pf = StridePrefetcher::new(16, 4);
+        let top = u64::MAX - 15;
+        let out = drive(&mut pf, 1, &[top - 30, top - 20, top - 10, top]);
+        let lines: Vec<u64> = out.iter().map(|r| r.line.index()).collect();
+        assert_eq!(lines, vec![u64::MAX - 5]);
     }
 
     #[test]

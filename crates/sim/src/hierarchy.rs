@@ -61,6 +61,37 @@ impl triangel_obs::Probe for CoreStats {
 /// temporal-fill attribution — now lives in the L2's own lines (see
 /// [`triangel_types::LineMeta`]), so there is nothing per-line to keep
 /// in sync, prune, or look up here.
+///
+/// # The residency table
+///
+/// `resident` is an exact, direct-mapped record of lines known valid in
+/// this core's caches, checked before
+/// [`MemorySystem::issue_prefetch`] probes them. The baseline's
+/// degree-8 stride prefetcher re-requests most of its lines on every
+/// access once it is confident, so most requests are for lines already
+/// in both the L1 and the L2.
+///
+/// * **Invariant.** A slot holding line `X` means `X` is valid in the
+///   L2; its `in_l1` bit means `X` is also valid in the L1. A line may
+///   be resident without an entry: the table answers "known resident"
+///   or "ask the caches", never "absent".
+/// * **Writes.** `issue_prefetch` records a stride line with its L1 bit
+///   once it has verified or installed it in both caches, and a
+///   temporal line without the bit (a bit already set for the same
+///   line is kept).
+/// * **Clears.** `fill_l2` clears its victim's entry and
+///   [`CoreMem::fill_l1`], the one L1 fill path, clears its victim's
+///   L1 bit. The private L1 and L2 lose lines by no other path: neither
+///   is ever invalidated or way-masked (only the shared L3 is).
+///   `restore` empties the table.
+/// * **Exactness.** A table hit skips a `Cache::contains` probe whose
+///   answer is known to be "present", and such a probe changes no
+///   cache state (the known-absent memo is written only on a miss), so
+///   skipping it moves no line, statistic or replacement order. Debug
+///   builds cross-check every table hit against the caches.
+///
+/// The table is derived and never serialized: snapshot bytes do not
+/// change.
 #[derive(Debug)]
 struct CoreMem {
     l1: Cache,
@@ -73,6 +104,85 @@ struct CoreMem {
     stats: CoreStats,
     pf_snapshot: PrefetcherStats,
     req_buf: Vec<PrefetchRequest>,
+    /// Lines known resident (see "The residency table").
+    resident: ResidentTable,
+}
+
+impl CoreMem {
+    /// Fills `line` into the L1, dropping its victim's L1 bit from the
+    /// residency table. Every L1 fill goes through here.
+    fn fill_l1(&mut self, line: LineAddr, pc: Pc, is_prefetch: bool) {
+        if let Some(ev) = self.l1.fill(line, Some(pc), is_prefetch).evicted {
+            self.resident.clear_l1(ev.line);
+        }
+    }
+}
+
+/// Slots in a [`ResidentTable`]. Larger tables skip few more requests:
+/// the ones they would add are mostly for lines since evicted from the
+/// L1, which need a real refill anyway.
+const RESIDENT_SLOTS: usize = 64;
+
+/// The direct-mapped residency table of [`CoreMem`]: slot `line % 64`.
+#[derive(Debug, PartialEq, Eq)]
+struct ResidentTable {
+    /// Slot `s` holds a line with `line % 64 == s` known valid in the
+    /// L2, or, when empty, `!s`, which maps to another slot and so
+    /// matches no line.
+    lines: [u64; RESIDENT_SLOTS],
+    /// Bit `s`: slot `s`'s line is also valid in the L1 (clear for an
+    /// empty slot).
+    in_l1: u64,
+}
+
+impl ResidentTable {
+    fn new() -> Self {
+        ResidentTable {
+            lines: std::array::from_fn(|s| !(s as u64)),
+            in_l1: 0,
+        }
+    }
+
+    fn slot(line: LineAddr) -> usize {
+        (line.index() % RESIDENT_SLOTS as u64) as usize
+    }
+
+    /// `Some(in_l1)` when `line` is known valid in the L2; `None` when
+    /// only the caches can tell.
+    fn lookup(&self, line: LineAddr) -> Option<bool> {
+        let s = Self::slot(line);
+        (self.lines[s] == line.index()).then_some(self.in_l1 & (1 << s) != 0)
+    }
+
+    /// Records `line` as valid in the L2, and in the L1 too when
+    /// `in_l1`; a known L1 bit for the same line is kept.
+    fn record(&mut self, line: LineAddr, in_l1: bool) {
+        let s = Self::slot(line);
+        if self.lines[s] != line.index() {
+            self.lines[s] = line.index();
+            self.in_l1 &= !(1 << s);
+        }
+        if in_l1 {
+            self.in_l1 |= 1 << s;
+        }
+    }
+
+    /// `line` left the L2: forget it.
+    fn clear_l2(&mut self, line: LineAddr) {
+        let s = Self::slot(line);
+        if self.lines[s] == line.index() {
+            self.lines[s] = !(s as u64);
+            self.in_l1 &= !(1 << s);
+        }
+    }
+
+    /// `line` left the L1: drop its L1 bit.
+    fn clear_l1(&mut self, line: LineAddr) {
+        let s = Self::slot(line);
+        if self.lines[s] == line.index() {
+            self.in_l1 &= !(1 << s);
+        }
+    }
 }
 
 struct ViewPair<'a> {
@@ -163,6 +273,7 @@ impl MemorySystem {
                 stats: CoreStats::default(),
                 pf_snapshot: PrefetcherStats::default(),
                 req_buf: Vec::new(),
+                resident: ResidentTable::new(),
             })
             .collect();
         MemorySystem {
@@ -223,7 +334,7 @@ impl MemorySystem {
                 }
                 self.train_temporal(core_idx, pc, line, TrainKind::L2PrefetchHit, t2);
             }
-            self.fill_l1(core_idx, pc, line);
+            self.cores[core_idx].fill_l1(line, pc, false);
             return ready;
         }
 
@@ -259,16 +370,12 @@ impl MemorySystem {
         }
 
         self.fill_l2(core_idx, pc, line, FillSource::Demand, ready);
-        self.fill_l1(core_idx, pc, line);
+        self.cores[core_idx].fill_l1(line, pc, false);
 
         // Train the temporal prefetcher on the miss and issue whatever
         // it wants, after the demand request is in the DRAM queue.
         self.train_temporal(core_idx, pc, line, TrainKind::L2Miss, t2);
         ready
-    }
-
-    fn fill_l1(&mut self, core_idx: usize, pc: Pc, line: LineAddr) {
-        self.cores[core_idx].l1.fill(line, Some(pc), false);
     }
 
     fn fill_l3(&mut self, line: LineAddr, pc: Pc, source: FillSource) {
@@ -286,6 +393,8 @@ impl MemorySystem {
     /// (the stride prefetcher is part of the baseline, so its hits must
     /// not train the temporal prefetcher), while still being attributed
     /// to the stride engine in their metadata word.
+    ///
+    /// The victim leaves the residency table.
     fn fill_l2(
         &mut self,
         core_idx: usize,
@@ -299,6 +408,7 @@ impl MemorySystem {
         let out = core.l2.fill_at(line, Some(pc), source, tagged, ready);
         core.stats.l2_fills += 1;
         if let Some(ev) = out.evicted {
+            core.resident.clear_l2(ev.line);
             // The victim holds its frame until the replacement's data
             // lands, so the incoming fill's completion time is the
             // eviction's effective cycle.
@@ -389,6 +499,10 @@ impl MemorySystem {
 
     /// Issues one prefetch request (stride fills L1 too; temporal fills
     /// only the L2, as in the paper).
+    ///
+    /// A request for a line the residency table knows is already where
+    /// the request would put it returns before probing any cache (see
+    /// [`CoreMem`]).
     fn issue_prefetch(&mut self, core_idx: usize, req: PrefetchRequest, t: Cycle, temporal: bool) {
         let t = t + req.issue_delay;
         let source = if temporal {
@@ -396,35 +510,59 @@ impl MemorySystem {
         } else {
             FillSource::Stride
         };
-        if self.cores[core_idx].l2.contains(req.line) {
-            if !temporal && !self.cores[core_idx].l1.contains(req.line) {
-                self.cores[core_idx].l1.fill(req.line, Some(req.pc), true);
+        let core = &mut self.cores[core_idx];
+        let known = core.resident.lookup(req.line);
+        if let Some(in_l1) = known {
+            debug_assert!(core.l2.contains(req.line), "residency table: not in the L2");
+            debug_assert!(
+                !in_l1 || core.l1.contains(req.line),
+                "residency table: not in the L1"
+            );
+            if in_l1 || temporal {
+                return;
             }
+        }
+        if known.is_some() || core.l2.contains(req.line) {
+            if !temporal && !core.l1.contains(req.line) {
+                core.fill_l1(req.line, req.pc, true);
+            }
+            core.resident.record(req.line, !temporal);
             return;
         }
-        self.cores[core_idx].mshr.retire_until(t);
-        if self.cores[core_idx].mshr.is_full() {
-            self.cores[core_idx].stats.prefetches_dropped += 1;
+        core.mshr.retire_until(t);
+        if core.mshr.is_full() {
+            core.stats.prefetches_dropped += 1;
             return;
         }
-        let l3_lat = self.l3_lat;
-        let t = self.arbitrate_l3(t, req.line);
-        let l3_hit = self.l3.access(req.line, Some(req.pc), true).hit;
-        let ready = if l3_hit {
-            t + l3_lat
-        } else {
-            let fetched = self
-                .dram
-                .request_line(t + l3_lat, req.line.index(), true)
-                .completes_at;
-            self.fill_l3(req.line, req.pc, source);
-            fetched
+        // A line the L2 evicted before its prefetch's data arrived is
+        // still in flight: the request merges into that miss, and the
+        // line is installed again, ready when the miss completes.
+        let ready = match core.mshr.merge(req.line, true) {
+            Some(in_flight) => in_flight,
+            None => {
+                let l3_lat = self.l3_lat;
+                let t = self.arbitrate_l3(t, req.line);
+                let l3_hit = self.l3.access(req.line, Some(req.pc), true).hit;
+                let ready = if l3_hit {
+                    t + l3_lat
+                } else {
+                    let fetched = self
+                        .dram
+                        .request_line(t + l3_lat, req.line.index(), true)
+                        .completes_at;
+                    self.fill_l3(req.line, req.pc, source);
+                    fetched
+                };
+                self.cores[core_idx].mshr.allocate(req.line, ready, true);
+                ready
+            }
         };
-        self.cores[core_idx].mshr.allocate(req.line, ready, true);
         self.fill_l2(core_idx, req.pc, req.line, source, ready);
+        let core = &mut self.cores[core_idx];
         if !temporal {
-            self.cores[core_idx].l1.fill(req.line, Some(req.pc), true);
+            core.fill_l1(req.line, req.pc, true);
         }
+        core.resident.record(req.line, !temporal);
     }
 
     /// Applies the prefetchers' partition wishes to the L3 data mask
@@ -588,6 +726,9 @@ impl Snapshot for CoreMem {
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
+        // Emptied first: a restore that fails part-way may already
+        // have replaced some lines.
+        self.resident = ResidentTable::new();
         self.l1.restore(r)?;
         self.l2.restore(r)?;
         self.mshr.restore(r)?;
@@ -627,5 +768,129 @@ impl Snapshot for MemorySystem {
             *free_at = r.u64()?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::PrefetcherChoice;
+    use triangel_types::rng::SplitMix64;
+
+    /// Walks every residency-table entry against the caches it
+    /// describes; returns how many entries carry the L1 bit.
+    fn check_resident_tables(sys: &MemorySystem) -> usize {
+        let mut with_l1 = 0;
+        for (i, core) in sys.cores.iter().enumerate() {
+            let table = &core.resident;
+            for (s, &x) in table.lines.iter().enumerate() {
+                let in_l1 = table.in_l1 & (1 << s) != 0;
+                if x == !(s as u64) {
+                    assert!(!in_l1, "core {i} slot {s}: empty slot has the L1 bit");
+                    continue;
+                }
+                let line = LineAddr::new(x);
+                assert_eq!(ResidentTable::slot(line), s, "core {i}: {x} in slot {s}");
+                assert!(core.l2.contains(line), "core {i} slot {s}: {x} not in L2");
+                assert!(
+                    !in_l1 || core.l1.contains(line),
+                    "core {i} slot {s}: {x} not in L1"
+                );
+                with_l1 += usize::from(in_l1);
+            }
+        }
+        with_l1
+    }
+
+    /// One access stream of the mix: a PC walking lines by a stride.
+    struct Stream {
+        pc: Pc,
+        start: u64,
+        line: u64,
+        stride: i64,
+    }
+
+    /// Drives `sys` with a seeded mix of positive and negative strides,
+    /// strides that are multiples of 64 (one table slot for every
+    /// line), a cyclic pointer chase for the temporal prefetchers,
+    /// random lines, and a descending stream that runs into line 0.
+    /// Checks every table entry after every demand access and returns
+    /// the largest number of L1-bit entries seen at one check.
+    fn drive_and_check(mut sys: MemorySystem, seed: u64, accesses: usize) -> usize {
+        let mut rng = SplitMix64::new(seed);
+        let mut streams: Vec<Stream> = [1, -1, 3, -5, 64, -64, 192, -128, -1]
+            .iter()
+            .enumerate()
+            .map(|(i, &stride)| {
+                // The last stream starts just above line 0.
+                let start = if i == 8 { 40 } else { (i as u64 + 1) << 16 };
+                Stream {
+                    pc: Pc::new(0x100 + i as u64),
+                    start,
+                    line: start,
+                    stride,
+                }
+            })
+            .collect();
+        let chase: Vec<u64> = (0..96).map(|_| rng.next_below(1 << 18)).collect();
+        let mut chase_pos = 0;
+        let mut t: Cycle = 0;
+        let mut most_with_l1 = 0;
+        for n in 0..accesses {
+            let (pc, line) = match rng.next_below(12) {
+                0..=5 => {
+                    let k = rng.next_below(streams.len() as u64) as usize;
+                    let s = &mut streams[k];
+                    let line = s.line;
+                    s.line = line.checked_add_signed(s.stride).unwrap_or(s.start);
+                    (s.pc, line)
+                }
+                6..=9 => {
+                    chase_pos = (chase_pos + 1) % chase.len();
+                    (Pc::new(0x200), chase[chase_pos])
+                }
+                _ => (Pc::new(0x300 + rng.next_below(4)), rng.next_below(1 << 20)),
+            };
+            let ready = sys.demand_access(0, pc, LineAddr::new(line), t);
+            t = if rng.next_below(4) == 0 {
+                ready
+            } else {
+                t + 1 + rng.next_below(40)
+            };
+            most_with_l1 = most_with_l1.max(check_resident_tables(&sys));
+            if n == accesses / 2 {
+                // A restore empties the table, and the run goes on from
+                // the restored state.
+                let mut w = SnapWriter::new();
+                sys.save(&mut w).unwrap();
+                let bytes = w.into_bytes();
+                let mut r = SnapReader::new(&bytes);
+                sys.restore(&mut r).unwrap();
+                r.finish().unwrap();
+                assert!(sys.cores.iter().all(|c| c.resident == ResidentTable::new()));
+            }
+        }
+        most_with_l1
+    }
+
+    #[test]
+    fn residency_table_matches_the_caches() {
+        for seed in [1, 2, 3] {
+            let choices = [
+                PrefetcherChoice::Baseline,
+                PrefetcherChoice::TriageDeg4,
+                PrefetcherChoice::Triangel,
+            ];
+            for choice in choices {
+                let sys = MemorySystem::with_prefetchers(
+                    SystemConfig::tiny(),
+                    vec![choice.build_impl(10_000)],
+                );
+                let name = sys.prefetcher_name(0).to_string();
+                let most_with_l1 = drive_and_check(sys, seed, 20_000);
+                // Not vacuous: the stride streams filled the table.
+                assert!(most_with_l1 >= 8, "{name} seed {seed}: {most_with_l1}");
+            }
+        }
     }
 }

@@ -238,3 +238,47 @@ fn warmup_reset_zeroes_measurement_counters() {
     );
     assert_eq!(r.dram.total_reads(), 0);
 }
+
+#[test]
+fn descending_stride_stream_stops_at_line_zero() {
+    // Four accesses from one PC to lines 3, 2, 1, 0 lock a -1 stride at
+    // line 0, where every target would lie below the line space.
+    for cfg in [SystemConfig::tiny(), SystemConfig::paper_single_core()] {
+        let mut sys = MemorySystem::new(cfg, vec![Box::new(NullPrefetcher)]);
+        let mut t = 0;
+        for line in [3, 2, 1, 0] {
+            t = sys.demand_access(0, Pc::new(0x4), LineAddr::new(line), t + 10);
+        }
+        assert_eq!(sys.dram_stats().total_reads(), 4);
+    }
+}
+
+#[test]
+fn prefetch_of_a_line_evicted_in_flight_merges_into_its_miss() {
+    // Tiny geometry: a stride of 32 lines keeps every line in L2 set 0
+    // (8 ways), and demand misses take no MSHR slot. Every access is
+    // issued long before any DRAM fill completes.
+    let mut sys = one_core_system();
+    let mut t = 0;
+    let mut access = |sys: &mut MemorySystem, pc: u64, line: u64| {
+        t += 1;
+        sys.demand_access(0, Pc::new(pc), LineAddr::new(line), t);
+    };
+    // PC 1 locks on and prefetches lines 128, 160, 192 and 224.
+    for line in [0, 32, 64, 96] {
+        access(&mut sys, 1, line);
+    }
+    assert_eq!(sys.l3_stats().prefetch_lookups, 4);
+    // Nine one-off demand misses push all four out of the L2 while
+    // their data is still on its way.
+    for k in 0..9 {
+        access(&mut sys, 0x100 + k, 3200 + 32 * k);
+    }
+    // PC 2 repeats PC 1's stream: its four prefetches find their lines
+    // in flight and merge into those misses instead of asking the L3
+    // again.
+    for line in [0, 32, 64, 96] {
+        access(&mut sys, 2, line);
+    }
+    assert_eq!(sys.l3_stats().prefetch_lookups, 4);
+}
