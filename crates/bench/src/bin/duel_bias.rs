@@ -13,5 +13,5 @@
 //! value).
 
 fn main() {
-    triangel_bench::figures::run_main("duel_bias");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("duel_bias"));
 }

@@ -5,5 +5,5 @@
 //! runner's full-scale record).
 
 fn main() {
-    triangel_bench::figures::run_main("features");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("features"));
 }

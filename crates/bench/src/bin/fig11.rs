@@ -6,5 +6,5 @@
 //! value).
 
 fn main() {
-    triangel_bench::figures::run_main("fig11");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("fig11"));
 }

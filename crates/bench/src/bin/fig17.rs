@@ -13,5 +13,5 @@
 //! value).
 
 fn main() {
-    triangel_bench::figures::run_main("fig17");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("fig17"));
 }

@@ -12,5 +12,5 @@
 //! value).
 
 fn main() {
-    triangel_bench::figures::run_main("fig20");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("fig20"));
 }

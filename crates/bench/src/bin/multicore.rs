@@ -6,5 +6,5 @@
 //! (`BENCH_multicore_smoke.json` when `TRIANGEL_MULTICORE_SMOKE=1`).
 
 fn main() {
-    triangel_bench::figures::run_main("multicore");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("multicore"));
 }

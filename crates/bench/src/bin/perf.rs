@@ -9,5 +9,5 @@
 //! `all_figures`.
 
 fn main() {
-    triangel_bench::figures::run_main("perf");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("perf"));
 }

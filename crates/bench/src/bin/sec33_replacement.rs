@@ -15,5 +15,5 @@
 //! value).
 
 fn main() {
-    triangel_bench::figures::run_main("sec33_replacement");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("sec33_replacement"));
 }

@@ -6,5 +6,5 @@
 //! `trace_event` file of the harness's wall-time spans for Perfetto.
 
 fn main() {
-    triangel_bench::figures::run_main("timeline");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("timeline"));
 }

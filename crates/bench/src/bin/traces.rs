@@ -10,5 +10,5 @@
 //! deterministic smoke trace.
 
 fn main() {
-    triangel_bench::figures::run_main("traces");
+    triangel_bench::figures::run_main(triangel_bench::figures::Selection::One("traces"));
 }

@@ -1,11 +1,12 @@
 //! The experiment registry: every figure and table of the paper as a
 //! named, declarative definition, executed by `triangel-harness`.
 //!
-//! Binaries are thin: `fig10` is `run_main("fig10")`, and
-//! `all_figures` iterates the whole registry (optionally filtered with
-//! a regex) over one shared result cache, so simulations common to
-//! several figures — above all the per-workload stride-only baselines —
-//! execute exactly once per process.
+//! Binaries are thin: `fig10` is `run_main(Selection::One("fig10"))`,
+//! and `all_figures` is `run_main(Selection::All)`, which iterates the
+//! whole registry (optionally filtered with a regex) over one shared
+//! result cache, so simulations common to several figures — above all
+//! the per-workload stride-only baselines — execute exactly once per
+//! process.
 
 mod defs;
 
@@ -272,23 +273,23 @@ pub fn find(name: &str) -> Option<FigureDef> {
 
 /// Command-line options shared by the figure binaries.
 #[derive(Debug, Default)]
-pub struct CliOptions {
+struct CliOptions {
     /// `--jobs N` (0 = one worker per core).
-    pub jobs: usize,
+    jobs: usize,
     /// `--filter <regex>` (only `all_figures`).
-    pub filter: Option<Pattern>,
-    /// `--out-dir <dir>` (only `all_figures`): emit JSON/CSV here.
-    pub out_dir: Option<PathBuf>,
+    filter: Option<Pattern>,
+    /// `--out-dir <dir>`: emit JSON/CSV here.
+    out_dir: Option<PathBuf>,
     /// `--trace <path>`: record the harness's wall-time spans and write
     /// them as Chrome `trace_event` JSON (load at
     /// <https://ui.perfetto.dev>). Host-only observability — figure
     /// output is byte-identical with or without it.
-    pub trace: Option<PathBuf>,
+    trace: Option<PathBuf>,
     /// `--store <dir>`: resolve jobs against (and publish them into)
     /// the on-disk result store at `dir`, shared safely with other
     /// processes. Serving a sweep from the store is byte-identical to
     /// executing it.
-    pub store: Option<PathBuf>,
+    store: Option<PathBuf>,
 }
 
 /// Parses `--jobs N`, `--filter RE`, `--out-dir DIR`, `--trace PATH`,
@@ -298,7 +299,7 @@ pub struct CliOptions {
 ///
 /// A usage message on unknown flags, missing values, or a malformed
 /// filter regex.
-pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
+fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut args = args.peekable();
     while let Some(arg) = args.next() {
@@ -334,50 +335,108 @@ pub fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, Strin
     Ok(opts)
 }
 
-/// Entry point for the single-figure binaries: parses `--jobs` and
-/// `--out-dir`, runs the named experiment, prints (and optionally
-/// emits) its artefacts. `--filter` is rejected — there is only one
-/// experiment here; filtering belongs to `all_figures`.
+/// Which experiments [`run_main`] runs.
+#[derive(Debug, Clone, Copy)]
+pub enum Selection {
+    /// Exactly the named experiment (a single-figure binary);
+    /// `--filter` is rejected.
+    One(&'static str),
+    /// Every experiment `--filter` matches (`all_figures`), each
+    /// announced on stderr, with a scheduler summary at the end.
+    All,
+}
+
+/// Entry point for every figure binary: parses the shared flags, runs
+/// the selected experiments over one [`FigureContext`], prints their
+/// artefacts to stdout and emits them (see [`emit_selected`]), then
+/// writes the `--trace` file and the store summary. Usage errors exit
+/// with status 2, emit failures with 1.
 ///
 /// # Panics
 ///
-/// Panics if `name` is not in the registry (a bug, not user error).
-pub fn run_main(name: &str) {
-    let cli = match parse_cli(std::env::args().skip(1)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
+/// Panics if a [`Selection::One`] name is not in the registry (a bug,
+/// not user error).
+pub fn run_main(selection: Selection) {
+    let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
+    let params = SweepParams::from_env();
+    let defs: Vec<FigureDef> = match selection {
+        Selection::One(name) => {
+            if cli.filter.is_some() {
+                usage_error(&format!(
+                    "--filter only applies to all_figures; this binary runs exactly `{name}`"
+                ));
+            }
+            vec![find(name).unwrap_or_else(|| panic!("unknown figure `{name}`"))]
+        }
+        Selection::All => {
+            eprintln!(
+                "==> all_figures: warmup {}, accesses {}, {} worker(s)",
+                params.warmup,
+                params.accesses,
+                if cli.jobs == 0 {
+                    "per-core".to_string()
+                } else {
+                    cli.jobs.to_string()
+                }
+            );
+            registry()
+                .into_iter()
+                .filter(|def| cli.filter.as_ref().is_none_or(|f| f.is_match(def.name)))
+                .collect()
         }
     };
-    if cli.filter.is_some() {
-        eprintln!("--filter only applies to all_figures; this binary runs exactly `{name}`");
-        std::process::exit(2);
-    }
-    let def = find(name).unwrap_or_else(|| panic!("unknown figure `{name}`"));
-    let mut ctx = FigureContext::new(SweepParams::from_env(), cli.jobs);
+    let announce = matches!(selection, Selection::All);
+    let mut ctx = FigureContext::new(params, cli.jobs);
     let trace = attach_trace(&mut ctx, &cli);
     if let Err(e) = attach_store(&mut ctx, &cli) {
-        eprintln!("{e}");
-        std::process::exit(2);
+        usage_error(&e);
     }
-    let outputs = def.run(&mut ctx);
-    for out in &outputs {
-        out.print();
+    if defs.is_empty() {
+        usage_error("--filter matched no experiments");
     }
+    // Tables/text are emitted only under --out-dir; JSON artefacts
+    // (the perf trajectory) are always written, defaulting to the
+    // working directory.
     let dir = cli.out_dir.clone().unwrap_or_else(|| PathBuf::from("."));
-    if let Err(e) = emit_selected(&dir, name, &outputs, cli.out_dir.is_some()) {
-        eprintln!("failed to emit {name} to {}: {e}", dir.display());
-        std::process::exit(1);
+    for def in &defs {
+        if announce {
+            eprintln!("==> {} ({})", def.name, def.title);
+        }
+        let outputs = def.run(&mut ctx);
+        for out in &outputs {
+            out.print();
+        }
+        if let Err(e) = emit_selected(&dir, def.name, &outputs, cli.out_dir.is_some()) {
+            eprintln!("failed to emit {} to {}: {e}", def.name, dir.display());
+            std::process::exit(1);
+        }
     }
     write_trace(&cli, trace.as_deref());
     store_summary(&ctx.opts);
+    if announce {
+        let stats = ctx.stats();
+        eprintln!(
+            "==> {} experiment(s); {} job(s), {} executed, {} cache hit(s), {} error(s)",
+            defs.len(),
+            stats.jobs,
+            stats.executed,
+            stats.cache_hits,
+            stats.errors
+        );
+    }
+}
+
+/// Prints a one-line error about the invocation (flags, store path)
+/// and exits with status 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
 }
 
 /// Creates the trace buffer `--trace` asked for (if any) and shares it
 /// with the context's scheduler options, so every sweep the figures
 /// run records its wall-time spans.
-pub fn attach_trace(
+fn attach_trace(
     ctx: &mut FigureContext,
     cli: &CliOptions,
 ) -> Option<Arc<triangel_obs::TraceBuffer>> {
@@ -398,7 +457,7 @@ pub fn attach_trace(
 /// # Errors
 ///
 /// A one-line message when the store cannot be opened.
-pub fn attach_store(ctx: &mut FigureContext, cli: &CliOptions) -> Result<(), String> {
+fn attach_store(ctx: &mut FigureContext, cli: &CliOptions) -> Result<(), String> {
     if let Some(dir) = &cli.store {
         let store = triangel_harness::ResultStore::open(dir)
             .map_err(|e| format!("cannot open result store at {}: {e}", dir.display()))?;
@@ -410,7 +469,7 @@ pub fn attach_store(ctx: &mut FigureContext, cli: &CliOptions) -> Result<(), Str
 /// Prints the store's traffic counters to stderr after a run, when a
 /// store is attached. stdout is untouched, so figure output stays
 /// byte-identical.
-pub fn store_summary(opts: &SweepOptions) {
+fn store_summary(opts: &SweepOptions) {
     if let Some(store) = &opts.store {
         eprintln!("[store] {}", store.stats().render());
     }
@@ -419,7 +478,7 @@ pub fn store_summary(opts: &SweepOptions) {
 /// Writes the recorded trace to the `--trace` path as Chrome
 /// `trace_event` JSON. Exits the process on I/O failure (binary-level
 /// helper, like `emit_selected`'s callers).
-pub fn write_trace(cli: &CliOptions, trace: Option<&triangel_obs::TraceBuffer>) {
+fn write_trace(cli: &CliOptions, trace: Option<&triangel_obs::TraceBuffer>) {
     let (Some(path), Some(trace)) = (&cli.trace, trace) else {
         return;
     };

@@ -40,7 +40,7 @@ pub struct TriangelFeatures {
     /// degree-4/lookahead-2 aggression (Section 4.5).
     pub high_pattern_conf: bool,
     /// Train on L2 eviction notices (paper-faithful eviction feedback
-    /// through [`Prefetcher::on_l2_evict`]). **Experimental gate, off
+    /// through [`Triangel::on_l2_evict`]). **Experimental gate, off
     /// everywhere by default** — it is not part of the Fig. 20 ladder
     /// and [`TriangelFeatures::all`] leaves it off. When set, the
     /// dying line's metadata word (fill source, demand-used bit, fill
@@ -51,7 +51,7 @@ pub struct TriangelFeatures {
     /// re-blessed deliberately (`cargo run -p triangel-bench --bin
     /// bless`). The `features` ablation figure measures its effect.
     ///
-    /// [`Prefetcher::on_l2_evict`]: triangel_prefetch::Prefetcher::on_l2_evict
+    /// [`Triangel::on_l2_evict`]: crate::Triangel::on_l2_evict
     pub train_on_eviction: bool,
 }
 

@@ -25,7 +25,6 @@
 //!
 //! ```
 //! use triangel_core::{Triangel, TriangelConfig};
-//! use triangel_prefetch::Prefetcher;
 //!
 //! let pf = Triangel::new(TriangelConfig::paper_default());
 //! assert_eq!(pf.name(), "Triangel");

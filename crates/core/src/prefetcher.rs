@@ -10,8 +10,8 @@ use crate::training::{TrainingTable, CONF_INIT};
 use triangel_cache::replacement::PolicyKind;
 use triangel_markov::{MarkovTableConfig, MarkovTableImpl};
 use triangel_prefetch::{
-    BloomFilter, CacheView, EvictNotice, IssueTable, PrefetchRequest, Prefetcher, PrefetcherStats,
-    TrainEvent, TrainKind,
+    BloomFilter, CacheView, EvictNotice, IssueTable, PrefetchRequest, PrefetcherStats, TrainEvent,
+    TrainKind,
 };
 use triangel_types::{Cycle, LineAddr};
 
@@ -123,13 +123,6 @@ impl Triangel {
             issue_table: IssueTable::paper_l2(),
             evict_train: [0; 3],
         }
-    }
-
-    /// Diagnostic counters for tests and tuning: `[reuse_inc,
-    /// reuse_dec, stale_victims, fresh_unused_victims, sampler_hits,
-    /// mismatches]`.
-    pub fn debug_counters(&self) -> [u64; 6] {
-        self.debug
     }
 
     /// Eviction-training counters for tests and tuning: `[markov_entry
@@ -308,14 +301,13 @@ impl Triangel {
         }
     }
 
-    /// Processes one training event with a statically-known cache view.
+    /// Processes one training event, appending any prefetches to `out`.
     ///
-    /// The monomorphized form of [`Prefetcher::on_event`]: the
-    /// simulator's enum-dispatched pipeline calls it directly, so the
-    /// sampler verdicts, aggression gates, Markov training and the
-    /// MRB-short-circuited prefetch walk all specialize against the
-    /// concrete cache view (residency checks become direct set scans).
-    /// The trait method forwards here with the dynamic view.
+    /// Generic over the cache view, so in the simulator's
+    /// enum-dispatched pipeline the sampler verdicts, aggression gates,
+    /// Markov training and the MRB-short-circuited prefetch walk all
+    /// specialize against the concrete view (residency checks become
+    /// direct set scans). Only L2 misses and tagged prefetch hits train.
     pub fn handle<V: CacheView + ?Sized>(
         &mut self,
         ev: &TrainEvent,
@@ -465,27 +457,20 @@ impl Triangel {
 
         self.run_sizing(ev.line, allowed);
     }
-}
 
-impl Prefetcher for Triangel {
-    fn on_event(
-        &mut self,
-        ev: &TrainEvent,
-        caches: &dyn CacheView,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        self.handle(ev, caches, out);
-    }
-
-    fn name(&self) -> &str {
+    /// Display name for reports.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn desired_markov_ways(&self) -> usize {
+    /// How many L3 ways the prefetcher currently wants for Markov
+    /// metadata.
+    pub fn desired_markov_ways(&self) -> usize {
         self.markov.ways()
     }
 
-    fn stats(&self) -> PrefetcherStats {
+    /// Evaluation counters.
+    pub fn stats(&self) -> PrefetcherStats {
         let m = self.markov.stats();
         PrefetcherStats {
             prefetches_issued: self.issued,
@@ -513,7 +498,7 @@ impl Prefetcher for Triangel {
     ///   judged from the metadata word's fill cycle) are excluded from
     ///   the negative paths: they indict cache pressure, not the
     ///   prediction.
-    fn on_l2_evict(&mut self, notice: &EvictNotice) {
+    pub fn on_l2_evict(&mut self, notice: &EvictNotice) {
         match notice.temporal_death() {
             Some(true) => self.evict_seen.1 += 1,
             Some(false) => self.evict_seen.0 += 1,
@@ -553,7 +538,10 @@ impl Prefetcher for Triangel {
         }
     }
 
-    fn probe(&self, out: &mut triangel_obs::ProbeSet) {
+    /// Exports named internal counters (gate states, sampler and
+    /// death diagnostics, Set Dueller, Markov table) into `out`;
+    /// read-only.
+    pub fn probe(&self, out: &mut triangel_obs::ProbeSet) {
         let (valid, base_open, high_open, lookahead2) = self.training.gate_summary();
         out.scoped("gates", |out| {
             out.record("valid", valid as u64);
@@ -674,7 +662,7 @@ mod tests {
             }
             for l in seq {
                 out.clear();
-                pf.on_event(&ev(pc, *l, n), &NullCacheView, &mut out);
+                pf.handle(&ev(pc, *l, n), &NullCacheView, &mut out);
                 n += 1;
                 if p + 1 == passes {
                     last.extend(out.iter().copied());
@@ -713,7 +701,7 @@ mod tests {
         let mut out = Vec::new();
         for n in 0..20_000u64 {
             out.clear();
-            pf.on_event(&ev(0x40, 1_000_000 + n * 17, n), &NullCacheView, &mut out);
+            pf.handle(&ev(0x40, 1_000_000 + n * 17, n), &NullCacheView, &mut out);
         }
         let issued = pf.stats().prefetches_issued;
         // BasePatternConf never rises above 8 for a random stream, so

@@ -1,9 +1,9 @@
 //! The structured probe registry.
 //!
-//! The old `Prefetcher::debug_string` (removed) was an unparseable grab-bag: each
-//! prefetcher formatted its own counters into one line, and consumers
-//! string-matched against it. A [`Probe`] instead *names* each counter
-//! and records it into a [`ProbeSet`] — an ordered, scoped registry
+//! Prefetchers once formatted their own counters into one unparseable
+//! debug line, and consumers string-matched against it. A [`Probe`]
+//! instead *names* each counter and records it into a [`ProbeSet`] —
+//! an ordered, scoped registry
 //! that renders to JSONL for machines and to a stable `k=v` line for
 //! fingerprints. Probing is read-only and deterministic: the same
 //! simulation state always yields the same set, so probe output can be

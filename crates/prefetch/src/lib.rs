@@ -1,7 +1,11 @@
-//! Prefetcher abstractions and baseline prefetchers.
+//! The prefetchers' shared event vocabulary and the baseline prefetcher.
 //!
-//! * [`Prefetcher`] — the event-driven interface every prefetcher in the
-//!   workspace implements (stride, Triage, Triangel).
+//! * [`TrainEvent`], [`PrefetchRequest`], [`CacheView`] and
+//!   [`EvictNotice`] — the event vocabulary every prefetcher in the
+//!   workspace (stride, Triage, Triangel) trains on. Each prefetcher's
+//!   `handle` takes an event and a cache view and appends requests; the
+//!   simulator dispatches over the closed set of prefetchers with an
+//!   enum.
 //! * [`StridePrefetcher`] — the degree-8 L1D stride prefetcher that is
 //!   part of the paper's *baseline* (Table 2): all speedups in the
 //!   evaluation are relative to a system that already has it.
@@ -11,7 +15,7 @@
 //! # Examples
 //!
 //! ```
-//! use triangel_prefetch::{NullCacheView, Prefetcher, StridePrefetcher, TrainEvent, TrainKind};
+//! use triangel_prefetch::{NullCacheView, StridePrefetcher, TrainEvent, TrainKind};
 //! use triangel_types::{Cycle, LineAddr, Pc};
 //!
 //! let mut pf = StridePrefetcher::new(64, 8);
@@ -25,7 +29,7 @@
 //!         l2_fills: 0,
 //!     };
 //!     out.clear();
-//!     pf.on_event(&ev, &NullCacheView, &mut out);
+//!     pf.handle(&ev, &NullCacheView, &mut out);
 //! }
 //! assert!(!out.is_empty()); // stride +2 locked on
 //! ```
@@ -202,66 +206,6 @@ impl triangel_obs::Probe for PrefetcherStats {
     }
 }
 
-/// The prefetcher interface.
-///
-/// The simulator delivers [`TrainEvent`]s and collects requests into
-/// `out` (an out-parameter so the per-access hot path performs no
-/// allocation; it is cleared by the caller).
-pub trait Prefetcher: std::fmt::Debug {
-    /// Observes an event and optionally emits prefetch requests.
-    fn on_event(&mut self, ev: &TrainEvent, caches: &dyn CacheView, out: &mut Vec<PrefetchRequest>);
-
-    /// Observes an L2 line dying, with its final metadata word. The
-    /// memory system calls this on every conflict eviction; the default
-    /// ignores it. Triage and Triangel count per-source death
-    /// diagnostics here unconditionally, and — only behind their
-    /// explicit eviction-training gates (`TriangelFeatures::
-    /// train_on_eviction`, `TriageConfig::train_on_eviction`, both off
-    /// in every shipped configuration) — feed the dying line's metadata
-    /// word back into the training and Markov paths. With the gates
-    /// off the hook must not change any reported statistic.
-    fn on_l2_evict(&mut self, _notice: &EvictNotice) {}
-
-    /// Display name for reports.
-    fn name(&self) -> &str;
-
-    /// How many L3 ways the prefetcher currently wants for Markov
-    /// metadata (0 for non-temporal prefetchers).
-    fn desired_markov_ways(&self) -> usize {
-        0
-    }
-
-    /// Evaluation counters.
-    fn stats(&self) -> PrefetcherStats {
-        PrefetcherStats::default()
-    }
-
-    /// Exports named internal counters (gate states, death diagnostics,
-    /// table occupancy) into the structured probe registry; records
-    /// nothing by default. Probing must be read-only and deterministic
-    /// — see [`triangel_obs::Probe`].
-    fn probe(&self, _out: &mut triangel_obs::ProbeSet) {}
-}
-
-/// A no-op prefetcher (the "Baseline" configuration minus the stride
-/// prefetcher, or a placeholder in tests).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullPrefetcher;
-
-impl Prefetcher for NullPrefetcher {
-    fn on_event(
-        &mut self,
-        _ev: &TrainEvent,
-        _caches: &dyn CacheView,
-        _out: &mut Vec<PrefetchRequest>,
-    ) {
-    }
-
-    fn name(&self) -> &str {
-        "none"
-    }
-}
-
 impl triangel_types::snap::Snapshot for PrefetcherStats {
     fn save(
         &self,
@@ -291,22 +235,6 @@ impl triangel_types::snap::Snapshot for PrefetcherStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn null_prefetcher_is_silent() {
-        let mut pf = NullPrefetcher;
-        let mut out = Vec::new();
-        let ev = TrainEvent {
-            pc: Pc::new(1),
-            line: LineAddr::new(2),
-            kind: TrainKind::L2Miss,
-            cycle: 0,
-            l2_fills: 0,
-        };
-        pf.on_event(&ev, &NullCacheView, &mut out);
-        assert!(out.is_empty());
-        assert_eq!(pf.stats(), PrefetcherStats::default());
-    }
 
     #[test]
     fn stats_sum() {

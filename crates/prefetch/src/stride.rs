@@ -1,6 +1,6 @@
 //! The baseline L1D stride prefetcher (Chen & Baer, ASPLOS 1992).
 
-use crate::{CacheView, PrefetchRequest, Prefetcher, TrainEvent, TrainKind};
+use crate::{CacheView, PrefetchRequest, PrefetcherStats, TrainEvent, TrainKind};
 use triangel_types::arena::ArenaMap;
 use triangel_types::{LineAddr, Pc};
 
@@ -63,12 +63,11 @@ impl StridePrefetcher {
         StridePrefetcher::new(64, 8)
     }
 
-    /// Processes one training event with a statically-known cache view.
+    /// Processes one training event, appending any prefetches to `out`.
     ///
-    /// This is the monomorphized form of
-    /// [`Prefetcher::on_event`] — the simulator calls it directly on
-    /// every L1 access, so the whole delta/confidence update inlines
-    /// into the access loop. The trait method forwards here.
+    /// Generic over the cache view, so the simulator's call on every L1
+    /// access inlines the whole delta/confidence update into the access
+    /// loop. Events other than [`TrainKind::L1Access`] are ignored.
     pub fn handle<V: CacheView + ?Sized>(
         &mut self,
         ev: &TrainEvent,
@@ -118,6 +117,14 @@ impl StridePrefetcher {
         }
     }
 
+    /// Evaluation counters: only `prefetches_issued` is nonzero.
+    pub fn stats(&self) -> PrefetcherStats {
+        PrefetcherStats {
+            prefetches_issued: self.issued,
+            ..Default::default()
+        }
+    }
+
     fn evict_if_full(&mut self, pc: Pc) {
         if self.table.len() >= self.table.capacity() && !self.table.contains_key(pc.get()) {
             // Deterministic eviction: drop the smallest key. A real table
@@ -126,28 +133,6 @@ impl StridePrefetcher {
             if let Some(k) = self.table.min_key() {
                 self.table.remove(k);
             }
-        }
-    }
-}
-
-impl Prefetcher for StridePrefetcher {
-    fn on_event(
-        &mut self,
-        ev: &TrainEvent,
-        caches: &dyn CacheView,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        self.handle(ev, caches, out);
-    }
-
-    fn name(&self) -> &str {
-        "stride"
-    }
-
-    fn stats(&self) -> crate::PrefetcherStats {
-        crate::PrefetcherStats {
-            prefetches_issued: self.issued,
-            ..Default::default()
         }
     }
 }
@@ -210,7 +195,7 @@ mod tests {
         let mut out = Vec::new();
         for (i, l) in lines.iter().enumerate() {
             out.clear();
-            pf.on_event(&ev(pc, *l, i as Cycle), &NullCacheView, &mut out);
+            pf.handle(&ev(pc, *l, i as Cycle), &NullCacheView, &mut out);
         }
         out
     }
@@ -268,12 +253,12 @@ mod tests {
         let mut last = Vec::new();
         for i in 0..6u64 {
             out.clear();
-            pf.on_event(&ev(1, 10 + i, 0), &NullCacheView, &mut out);
+            pf.handle(&ev(1, 10 + i, 0), &NullCacheView, &mut out);
             if !out.is_empty() {
                 last = out.clone();
             }
             out.clear();
-            pf.on_event(&ev(2, 1000 + 4 * i, 0), &NullCacheView, &mut out);
+            pf.handle(&ev(2, 1000 + 4 * i, 0), &NullCacheView, &mut out);
         }
         assert!(!last.is_empty());
         assert!(!out.is_empty());
@@ -287,7 +272,7 @@ mod tests {
         for i in 0..5 {
             let mut e = ev(1, 10 + i, 0);
             e.kind = TrainKind::L2Miss;
-            pf.on_event(&e, &NullCacheView, &mut out);
+            pf.handle(&e, &NullCacheView, &mut out);
         }
         assert!(out.is_empty());
     }

@@ -4,7 +4,6 @@
 use crate::dispatch::PrefetcherImpl;
 use triangel_core::{Triangel, TriangelConfig, TriangelFeatures};
 use triangel_markov::TargetFormat;
-use triangel_prefetch::NullPrefetcher;
 use triangel_triage::{Triage, TriageConfig};
 
 /// Which temporal prefetcher to attach (the paper's evaluated
@@ -89,9 +88,7 @@ impl PrefetcherChoice {
         Some(c)
     }
 
-    /// Builds the enum-dispatched prefetcher this choice describes —
-    /// the form the default [`crate::SimSession`] pipeline uses, with no
-    /// virtual call on the training path.
+    /// Builds the prefetcher this choice describes.
     pub fn build_impl(&self, sizing_window: u64) -> PrefetcherImpl {
         self.build_impl_with(sizing_window, None)
     }
@@ -106,7 +103,7 @@ impl PrefetcherChoice {
         features: Option<TriangelFeatures>,
     ) -> PrefetcherImpl {
         match self {
-            PrefetcherChoice::Baseline => PrefetcherImpl::Null(NullPrefetcher),
+            PrefetcherChoice::Baseline => PrefetcherImpl::Null,
             PrefetcherChoice::Triage => {
                 PrefetcherImpl::Triage(Box::new(Triage::new(TriageConfig::paper_default())))
             }

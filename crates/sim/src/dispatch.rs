@@ -1,46 +1,31 @@
 //! Enum dispatch for the temporal prefetchers.
 //!
-//! The simulator's per-access hot path used to train prefetchers
-//! through `Box<dyn Prefetcher>`, which blocked inlining across the
+//! The paper evaluates a closed set of temporal prefetchers: none (the
+//! stride-only baseline), the Triage variants and the Triangel variants.
+//! [`PrefetcherImpl`] holds one of them as a concrete value, so the
+//! simulator dispatches with a branch-predictable match and passes the
+//! cache view as a concrete type: no virtual call per access, and the
 //! hottest loop in the workspace (the Triage/Triangel Markov
-//! train/lookup walk). [`PrefetcherImpl`] wraps the shipped concrete
-//! types in one enum so the default pipeline dispatches with a
-//! branch-predictable match and passes the cache view as a concrete
-//! type — zero virtual calls per access. A [`PrefetcherImpl::Dyn`]
-//! variant keeps the old trait-object path available as a
-//! compatibility shim (and as the reference the dispatch-equivalence
-//! tests compare against).
+//! train/lookup walk) inlines.
 
 use triangel_core::Triangel;
-use triangel_prefetch::{
-    CacheView, EvictNotice, NullPrefetcher, PrefetchRequest, Prefetcher, PrefetcherStats,
-    TrainEvent,
-};
+use triangel_prefetch::{CacheView, EvictNotice, PrefetchRequest, PrefetcherStats, TrainEvent};
 use triangel_triage::Triage;
 
-/// A temporal prefetcher as a concrete value.
-///
-/// Built by
-/// [`PrefetcherChoice::build_impl`](crate::PrefetcherChoice::build_impl)
-/// for the default monomorphized pipeline, or wrapped around any
-/// [`Prefetcher`] trait object via [`PrefetcherImpl::Dyn`] for the
-/// compatibility path ([`MemorySystem::new`](crate::MemorySystem::new)).
+/// A temporal prefetcher as a concrete value, built by
+/// [`PrefetcherChoice::build_impl`](crate::PrefetcherChoice::build_impl).
 #[derive(Debug)]
 pub enum PrefetcherImpl {
     /// No temporal prefetcher (the stride-only baseline).
-    Null(NullPrefetcher),
+    Null,
     /// The Triage family (boxed: the Markov table dominates its size).
     Triage(Box<Triage>),
     /// The Triangel family.
     Triangel(Box<Triangel>),
-    /// Any other implementation, behind the original trait object.
-    /// This arm pays the virtual call the concrete arms eliminate.
-    Dyn(Box<dyn Prefetcher>),
 }
 
 impl PrefetcherImpl {
-    /// Delivers one training event; monomorphizes over the cache view
-    /// for the concrete arms.
+    /// Delivers one training event; monomorphizes over the cache view.
     #[inline]
     pub fn on_event<V: CacheView>(
         &mut self,
@@ -49,50 +34,54 @@ impl PrefetcherImpl {
         out: &mut Vec<PrefetchRequest>,
     ) {
         match self {
-            PrefetcherImpl::Null(_) => {}
+            PrefetcherImpl::Null => {}
             PrefetcherImpl::Triage(p) => p.handle(ev, caches, out),
             PrefetcherImpl::Triangel(p) => p.handle(ev, caches, out),
-            PrefetcherImpl::Dyn(p) => p.on_event(ev, caches, out),
         }
     }
 
-    /// Delivers an L2 eviction notice.
+    /// Delivers an L2 eviction notice: the memory system calls this on
+    /// every conflict eviction.
+    ///
+    /// Triage and Triangel count per-source death diagnostics here
+    /// unconditionally. Only behind their explicit eviction-training
+    /// gates (`TriangelFeatures::train_on_eviction`,
+    /// `TriageConfig::train_on_eviction`, both off in every shipped
+    /// configuration) do they feed the dying line's metadata word back
+    /// into the training and Markov paths. With the gates off, a notice
+    /// changes no reported statistic.
     pub fn on_l2_evict(&mut self, notice: &EvictNotice) {
         match self {
-            PrefetcherImpl::Null(_) => {}
+            PrefetcherImpl::Null => {}
             PrefetcherImpl::Triage(p) => p.on_l2_evict(notice),
             PrefetcherImpl::Triangel(p) => p.on_l2_evict(notice),
-            PrefetcherImpl::Dyn(p) => p.on_l2_evict(notice),
         }
     }
 
     /// Display name for reports.
     pub fn name(&self) -> &str {
         match self {
-            PrefetcherImpl::Null(p) => p.name(),
+            PrefetcherImpl::Null => "none",
             PrefetcherImpl::Triage(p) => p.name(),
             PrefetcherImpl::Triangel(p) => p.name(),
-            PrefetcherImpl::Dyn(p) => p.name(),
         }
     }
 
     /// L3 ways currently wanted for Markov metadata.
     pub fn desired_markov_ways(&self) -> usize {
         match self {
-            PrefetcherImpl::Null(p) => p.desired_markov_ways(),
+            PrefetcherImpl::Null => 0,
             PrefetcherImpl::Triage(p) => p.desired_markov_ways(),
             PrefetcherImpl::Triangel(p) => p.desired_markov_ways(),
-            PrefetcherImpl::Dyn(p) => p.desired_markov_ways(),
         }
     }
 
     /// Evaluation counters.
     pub fn stats(&self) -> PrefetcherStats {
         match self {
-            PrefetcherImpl::Null(p) => p.stats(),
+            PrefetcherImpl::Null => PrefetcherStats::default(),
             PrefetcherImpl::Triage(p) => p.stats(),
             PrefetcherImpl::Triangel(p) => p.stats(),
-            PrefetcherImpl::Dyn(p) => p.stats(),
         }
     }
 
@@ -100,10 +89,9 @@ impl PrefetcherImpl {
     /// (see [`triangel_obs::Probe`]).
     pub fn probe(&self, out: &mut triangel_obs::ProbeSet) {
         match self {
-            PrefetcherImpl::Null(p) => p.probe(out),
+            PrefetcherImpl::Null => {}
             PrefetcherImpl::Triage(p) => p.probe(out),
             PrefetcherImpl::Triangel(p) => p.probe(out),
-            PrefetcherImpl::Dyn(p) => p.probe(out),
         }
     }
 
@@ -119,7 +107,7 @@ impl PrefetcherImpl {
                 p.markov().occupancy() as u64,
                 p.markov().capacity_entries() as u64,
             ),
-            PrefetcherImpl::Null(_) | PrefetcherImpl::Dyn(_) => (0, 0),
+            PrefetcherImpl::Null => (0, 0),
         }
     }
 
@@ -133,19 +121,13 @@ impl PrefetcherImpl {
     }
 }
 
-impl From<Box<dyn Prefetcher>> for PrefetcherImpl {
-    fn from(p: Box<dyn Prefetcher>) -> Self {
-        PrefetcherImpl::Dyn(p)
-    }
-}
-
 impl triangel_types::snap::Snapshot for PrefetcherImpl {
     fn save(
         &self,
         w: &mut triangel_types::snap::SnapWriter,
     ) -> Result<(), triangel_types::snap::SnapError> {
         match self {
-            PrefetcherImpl::Null(_) => {
+            PrefetcherImpl::Null => {
                 w.u8(0);
                 Ok(())
             }
@@ -157,10 +139,6 @@ impl triangel_types::snap::Snapshot for PrefetcherImpl {
                 w.u8(2);
                 p.save(w)
             }
-            PrefetcherImpl::Dyn(p) => Err(triangel_types::snap::SnapError::unsupported(format!(
-                "prefetcher `{}` is behind the dyn compatibility shim",
-                p.name()
-            ))),
         }
     }
 
@@ -170,7 +148,7 @@ impl triangel_types::snap::Snapshot for PrefetcherImpl {
     ) -> Result<(), triangel_types::snap::SnapError> {
         let tag = r.u8()?;
         match (tag, self) {
-            (0, PrefetcherImpl::Null(_)) => Ok(()),
+            (0, PrefetcherImpl::Null) => Ok(()),
             (1, PrefetcherImpl::Triage(p)) => p.restore(r),
             (2, PrefetcherImpl::Triangel(p)) => p.restore(r),
             _ => Err(triangel_types::snap::SnapError::corrupt(
@@ -184,7 +162,6 @@ impl triangel_types::snap::Snapshot for PrefetcherImpl {
 mod tests {
     use super::*;
     use triangel_prefetch::{NullCacheView, TrainKind};
-    use triangel_triage::TriageConfig;
     use triangel_types::{LineAddr, Pc};
 
     fn ev(line: u64) -> TrainEvent {
@@ -198,28 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn enum_and_dyn_arms_agree() {
-        let mut concrete = PrefetcherImpl::Triage(Box::new(Triage::new(TriageConfig::degree4())));
-        let mut boxed: PrefetcherImpl =
-            (Box::new(Triage::new(TriageConfig::degree4())) as Box<dyn Prefetcher>).into();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        for pass in 0..2 {
-            for line in [10u64, 20, 30, 40, 50] {
-                a.clear();
-                b.clear();
-                concrete.on_event(&ev(line), &NullCacheView, &mut a);
-                boxed.on_event(&ev(line), &NullCacheView, &mut b);
-                assert_eq!(a, b, "pass {pass} line {line}");
-            }
-        }
-        assert_eq!(concrete.stats(), boxed.stats());
-        assert_eq!(concrete.name(), boxed.name());
-        assert_eq!(concrete.desired_markov_ways(), boxed.desired_markov_ways());
-    }
-
-    #[test]
     fn null_arm_is_silent() {
-        let mut p = PrefetcherImpl::Null(NullPrefetcher);
+        let mut p = PrefetcherImpl::Null;
         let mut out = Vec::new();
         p.on_event(&ev(1), &NullCacheView, &mut out);
         assert!(out.is_empty());

@@ -21,6 +21,9 @@ pub enum SimError {
     },
     /// An experiment was built with no trace sources at all.
     NoSources,
+    /// A prefetcher that resizes its Markov partition once per sizing
+    /// window (Set Dueller / Bloom period) was given a window of 0.
+    ZeroSizingWindow,
     /// A workload behind a spec could not be constructed — a trace
     /// file missing, truncated, or changed on disk since the job was
     /// keyed.
@@ -38,6 +41,9 @@ impl fmt::Display for SimError {
                 "system configured for {cores} core(s) but {sources} trace source(s) supplied"
             ),
             SimError::NoSources => write!(f, "experiment has no trace sources"),
+            SimError::ZeroSizingWindow => {
+                write!(f, "the prefetcher's sizing window must be positive")
+            }
             SimError::Workload { message } => {
                 write!(f, "workload construction failed: {message}")
             }

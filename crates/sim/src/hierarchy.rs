@@ -6,10 +6,13 @@ use triangel_cache::replacement::all_ways;
 use triangel_cache::{Cache, EvictedLine, Mshr};
 use triangel_mem::Dram;
 use triangel_prefetch::{
-    CacheView, EvictNotice, PrefetchRequest, Prefetcher, PrefetcherStats, StridePrefetcher,
-    TrainEvent, TrainKind,
+    CacheView, EvictNotice, PrefetchRequest, PrefetcherStats, StridePrefetcher, TrainEvent,
+    TrainKind,
 };
 use triangel_types::{Cycle, FillSource, LineAddr, LineMeta, Pc};
+
+#[cfg(test)]
+mod evict_meta;
 
 /// Per-core accuracy/traffic bookkeeping.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -98,14 +101,29 @@ struct CoreMem {
     l2: Cache,
     mshr: Mshr,
     stride: StridePrefetcher,
-    /// Enum-dispatched: the default pipeline's train/lookup path has no
-    /// virtual call (see [`PrefetcherImpl`]).
+    /// Enum-dispatched: the train/lookup path has no virtual call (see
+    /// [`PrefetcherImpl`]).
     temporal: PrefetcherImpl,
     stats: CoreStats,
     pf_snapshot: PrefetcherStats,
     req_buf: Vec<PrefetchRequest>,
     /// Lines known resident (see "The residency table").
     resident: ResidentTable,
+    /// When `Some`, every crossing between this core and its temporal
+    /// prefetcher, in delivery order.
+    #[cfg(test)]
+    crossings: Option<Vec<Crossing>>,
+}
+
+/// What passed between a core and its temporal prefetcher, as logged
+/// in test builds.
+#[cfg(test)]
+#[derive(Debug, Clone)]
+enum Crossing {
+    /// A training event and the requests it returned.
+    Event(TrainEvent, Vec<PrefetchRequest>),
+    /// An L2 eviction notice.
+    Evict(EvictNotice),
 }
 
 impl CoreMem {
@@ -234,27 +252,6 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Builds the system with one boxed temporal prefetcher per core.
-    ///
-    /// Compatibility shim: every prefetcher is wrapped in
-    /// [`PrefetcherImpl::Dyn`], so this path keeps the virtual call per
-    /// training event. The default pipeline
-    /// ([`SimSession`](crate::SimSession)) uses
-    /// [`MemorySystem::with_prefetchers`] with enum-dispatched
-    /// prefetchers instead.
-    ///
-    /// Kept deliberately (shim audit): this is the only way to drive
-    /// the hierarchy with a user-supplied `Prefetcher` implementation
-    /// from outside the workspace, and the dispatch-equivalence test
-    /// uses it as the independent reference for the enum path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `temporal` is empty.
-    pub fn new(cfg: SystemConfig, temporal: Vec<Box<dyn Prefetcher>>) -> Self {
-        MemorySystem::with_prefetchers(cfg, temporal.into_iter().map(Into::into).collect())
-    }
-
     /// Builds the system with one temporal prefetcher per core.
     ///
     /// # Panics
@@ -274,6 +271,8 @@ impl MemorySystem {
                 pf_snapshot: PrefetcherStats::default(),
                 req_buf: Vec::new(),
                 resident: ResidentTable::new(),
+                #[cfg(test)]
+                crossings: None,
             })
             .collect();
         MemorySystem {
@@ -427,14 +426,19 @@ impl MemorySystem {
         if ev.source == FillSource::Temporal && ev.was_unused_prefetch {
             core.stats.temporal_wasted += 1;
         }
-        core.temporal.on_l2_evict(&EvictNotice {
+        let notice = EvictNotice {
             line: ev.line,
             meta: ev.meta(),
             was_unused_prefetch: ev.was_unused_prefetch,
             evict_cycle,
             evict_seq: ev.evict_seq,
             fill_pc: ev.fill_pc,
-        });
+        };
+        #[cfg(test)]
+        if let Some(log) = &mut core.crossings {
+            log.push(Crossing::Evict(notice));
+        }
+        core.temporal.on_l2_evict(&notice);
     }
 
     /// Trains the stride prefetcher (every L1 access) and issues its
@@ -489,6 +493,10 @@ impl MemorySystem {
                 l3: &self.l3,
             };
             core.temporal.on_event(&ev, &view, &mut reqs);
+            #[cfg(test)]
+            if let Some(log) = &mut core.crossings {
+                log.push(Crossing::Event(ev, reqs.clone()));
+            }
         }
         for req in &reqs {
             self.issue_prefetch(core_idx, *req, t, true);

@@ -20,10 +20,9 @@
 //! ([`PrefetcherImpl`],
 //! [`triangel_cache::replacement::ReplacementImpl`]), and the engine's
 //! in-flight timeline is a fixed power-of-two ring — no `dyn` call
-//! remains on the per-access hot path of the default pipeline. The
-//! one remaining trait-object constructor, [`MemorySystem::new`], is
-//! kept deliberately as the entry point for user-supplied
-//! [`triangel_prefetch::Prefetcher`] implementations.
+//! remains on the per-access hot path. The temporal prefetchers are the
+//! closed set the paper evaluates: [`PrefetcherImpl`] has one arm per
+//! family, built from a [`PrefetcherChoice`].
 //!
 //! # Examples
 //!

@@ -216,9 +216,8 @@ impl SimSession {
     ///
     /// # Errors
     ///
-    /// [`SnapError::Unsupported`] when a component sits behind a
-    /// non-snapshottable trait object (custom boxed sources or the
-    /// `Dyn` prefetcher shim).
+    /// [`SnapError::Unsupported`] when a trace source cannot be
+    /// snapshotted (a custom boxed source).
     pub fn snapshot(&self) -> Result<Vec<u8>, SnapError> {
         let mut w = SnapWriter::new();
         w.bytes(&SNAP_MAGIC);
@@ -455,12 +454,18 @@ impl SimSessionBuilder {
     ///
     /// # Errors
     ///
-    /// [`SimError::NoSources`] without any workload; other
-    /// [`SimError`]s as [`Engine::try_new`] reports them.
+    /// [`SimError::NoSources`] without any workload;
+    /// [`SimError::ZeroSizingWindow`] for a zero
+    /// [`sizing_window`](SimSessionBuilder::sizing_window) on a choice
+    /// that reads it; other [`SimError`]s as [`Engine::try_new`]
+    /// reports them.
     pub fn build(self) -> Result<SimSession, SimError> {
         let n_cores = self.sources.len();
         if n_cores == 0 {
             return Err(SimError::NoSources);
+        }
+        if self.sizing_window == 0 && self.choice.uses_sizing_window() {
+            return Err(SimError::ZeroSizingWindow);
         }
         let system_cfg = self.system.unwrap_or_else(|| {
             // One and two cores keep the legacy paper configurations
@@ -566,11 +571,10 @@ mod tests {
 
     #[test]
     fn core_count_mismatch_is_a_typed_error() {
-        use triangel_prefetch::NullPrefetcher;
         // Two cores' worth of prefetchers, one trace source.
-        let system = MemorySystem::new(
+        let system = MemorySystem::with_prefetchers(
             SystemConfig::paper_dual_core(),
-            vec![Box::new(NullPrefetcher), Box::new(NullPrefetcher)],
+            vec![PrefetcherImpl::Null, PrefetcherImpl::Null],
         );
         let err = Engine::try_new(
             system,
@@ -587,9 +591,9 @@ mod tests {
             }
         );
 
-        let system = MemorySystem::new(
+        let system = MemorySystem::with_prefetchers(
             SystemConfig::paper_single_core(),
-            vec![Box::new(NullPrefetcher)],
+            vec![PrefetcherImpl::Null],
         );
         let err = Engine::try_new(system, vec![], PageMapper::realistic(1))
             .map(|_| ())
@@ -603,6 +607,29 @@ mod tests {
             SimSession::builder().run().unwrap_err(),
             SimError::NoSources
         );
+    }
+
+    #[test]
+    fn zero_sizing_window_is_a_typed_error() {
+        for choice in [PrefetcherChoice::Triangel, PrefetcherChoice::TriangelBloom] {
+            let err = SimSession::builder()
+                .workload(chase(100))
+                .prefetcher(choice)
+                .sizing_window(0)
+                .build()
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err, SimError::ZeroSizingWindow, "{}", choice.label());
+        }
+        // Choices that never read the window still build.
+        for choice in [PrefetcherChoice::Baseline, PrefetcherChoice::Triage] {
+            let session = SimSession::builder()
+                .workload(chase(100))
+                .prefetcher(choice)
+                .sizing_window(0)
+                .build();
+            assert!(session.is_ok(), "{}", choice.label());
+        }
     }
 
     #[test]

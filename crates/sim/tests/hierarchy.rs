@@ -1,14 +1,20 @@
 //! Direct tests of the memory system and timing engine.
 
-use triangel_prefetch::{NullPrefetcher, Prefetcher};
-use triangel_sim::{Engine, MemorySystem, PrefetcherChoice, SimSession, SystemConfig};
+use triangel_sim::{
+    Engine, MemorySystem, PrefetcherChoice, PrefetcherImpl, SimSession, SystemConfig,
+};
 use triangel_types::{Addr, LineAddr, Pc};
 use triangel_workloads::paging::PageMapper;
 use triangel_workloads::temporal::StridedStream;
 use triangel_workloads::trace::{MemoryAccess, RecordedTrace};
 
+/// A one-core system with no temporal prefetcher.
+fn baseline_system(cfg: SystemConfig) -> MemorySystem {
+    MemorySystem::with_prefetchers(cfg, vec![PrefetcherImpl::Null])
+}
+
 fn one_core_system() -> MemorySystem {
-    MemorySystem::new(SystemConfig::tiny(), vec![Box::new(NullPrefetcher)])
+    baseline_system(SystemConfig::tiny())
 }
 
 #[test]
@@ -61,29 +67,15 @@ fn distinct_lines_all_come_from_dram() {
 
 #[test]
 fn partition_request_shrinks_l3_data_ways() {
-    // A prefetcher that always wants 4 ways of Markov partition.
-    #[derive(Debug)]
-    struct Greedy;
-    impl Prefetcher for Greedy {
-        fn on_event(
-            &mut self,
-            _ev: &triangel_prefetch::TrainEvent,
-            _caches: &dyn triangel_prefetch::CacheView,
-            _out: &mut Vec<triangel_prefetch::PrefetchRequest>,
-        ) {
-        }
-        fn name(&self) -> &str {
-            "greedy"
-        }
-        fn desired_markov_ways(&self) -> usize {
-            4
-        }
-    }
-    let mut sys = MemorySystem::new(SystemConfig::tiny(), vec![Box::new(Greedy)]);
+    // Triage grows its partition on the first never-seen miss: one way
+    // holds that one index.
+    let triage = PrefetcherChoice::Triage.build_impl(250_000);
+    let mut sys = MemorySystem::with_prefetchers(SystemConfig::tiny(), vec![triage]);
     assert_eq!(sys.markov_ways(), 0);
     // Any L2 miss routes through train_temporal, which applies the wish.
     sys.demand_access(0, Pc::new(4), LineAddr::new(1), 100);
-    assert_eq!(sys.markov_ways(), 4);
+    assert_eq!(sys.desired_markov_ways(0), 1);
+    assert_eq!(sys.markov_ways(), 1);
 }
 
 #[test]
@@ -124,10 +116,7 @@ fn dependent_chains_are_slower_than_independent_streams() {
         RecordedTrace::new(if dependent { "dep" } else { "ind" }, accesses)
     };
     let run = |dep: bool| {
-        let sys = MemorySystem::new(
-            SystemConfig::paper_single_core(),
-            vec![Box::new(NullPrefetcher)],
-        );
+        let sys = baseline_system(SystemConfig::paper_single_core());
         let mut engine =
             Engine::try_new(sys, vec![Box::new(make(dep))], PageMapper::contiguous()).unwrap();
         engine.start_measurement();
@@ -155,7 +144,7 @@ fn rob_bounds_memory_level_parallelism() {
     let run = |rob: usize| {
         let mut cfg = SystemConfig::paper_single_core();
         cfg.rob_entries = rob;
-        let sys = MemorySystem::new(cfg, vec![Box::new(NullPrefetcher)]);
+        let sys = baseline_system(cfg);
         let mut engine =
             Engine::try_new(sys, vec![Box::new(trace())], PageMapper::contiguous()).unwrap();
         engine.start_measurement();
@@ -244,7 +233,7 @@ fn descending_stride_stream_stops_at_line_zero() {
     // Four accesses from one PC to lines 3, 2, 1, 0 lock a -1 stride at
     // line 0, where every target would lie below the line space.
     for cfg in [SystemConfig::tiny(), SystemConfig::paper_single_core()] {
-        let mut sys = MemorySystem::new(cfg, vec![Box::new(NullPrefetcher)]);
+        let mut sys = baseline_system(cfg);
         let mut t = 0;
         for line in [3, 2, 1, 0] {
             t = sys.demand_access(0, Pc::new(0x4), LineAddr::new(line), t + 10);

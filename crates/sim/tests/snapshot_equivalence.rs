@@ -252,6 +252,26 @@ fn snapshot_restore_rejects_mismatched_sessions() {
         .unwrap();
     assert!(wrong_pf.restore(&bytes).is_err());
 
+    // The stride-only baseline (variant tag 0, no payload) and Triangel
+    // (tag 2) reject each other's snapshots at the prefetcher tag, in
+    // both directions.
+    let (baseline, triangel) = (configs()[0], configs()[2]);
+    for (from, into) in [(baseline, triangel), (triangel, baseline)] {
+        let mut src = build(SpecWorkload::Xalan.generator(11), &from);
+        src.run_segment(100);
+        let bytes = src.snapshot().unwrap();
+        let mut dst = build(SpecWorkload::Xalan.generator(11), &into);
+        assert_eq!(
+            dst.restore(&bytes),
+            Err(triangel_types::snap::SnapError::corrupt(
+                "prefetcher variant mismatch"
+            )),
+            "{} snapshot into a {} session",
+            from.label,
+            into.label
+        );
+    }
+
     // Truncation is loud.
     let mut fresh = build(SpecWorkload::Xalan.generator(11), &cfg);
     assert!(fresh.restore(&bytes[..bytes.len() - 1]).is_err());

@@ -17,7 +17,7 @@
 //!
 //! ```
 //! use triangel_triage::{Triage, TriageConfig};
-//! use triangel_prefetch::{NullCacheView, Prefetcher, TrainEvent, TrainKind};
+//! use triangel_prefetch::{NullCacheView, TrainEvent, TrainKind};
 //! use triangel_types::{LineAddr, Pc};
 //!
 //! let mut pf = Triage::new(TriageConfig::paper_default());
@@ -33,7 +33,7 @@
 //!             cycle: 0,
 //!             l2_fills: 0,
 //!         };
-//!         pf.on_event(&ev, &NullCacheView, &mut out);
+//!         pf.handle(&ev, &NullCacheView, &mut out);
 //!     }
 //!     let _ = pass;
 //! }
@@ -50,8 +50,8 @@ pub use training::{TrainingTable, TrainingUpdate};
 
 use triangel_markov::{MarkovTableConfig, MarkovTableImpl};
 use triangel_prefetch::{
-    BloomFilter, CacheView, EvictNotice, IssueTable, PrefetchRequest, Prefetcher, PrefetcherStats,
-    TrainEvent, TrainKind,
+    BloomFilter, CacheView, EvictNotice, IssueTable, PrefetchRequest, PrefetcherStats, TrainEvent,
+    TrainKind,
 };
 use triangel_types::{Cycle, LineAddr};
 
@@ -185,12 +185,12 @@ impl Triage {
         &self.markov
     }
 
-    /// Processes one training event with a statically-known cache view.
+    /// Processes one training event, appending any prefetches to `out`.
     ///
-    /// The monomorphized form of [`Prefetcher::on_event`]: the
-    /// simulator's enum-dispatched pipeline calls it directly so the
-    /// Markov train/lookup walk (and its HawkEye entry replacement)
-    /// inlines without a virtual call. The trait method forwards here.
+    /// Generic over the cache view, so the simulator's enum-dispatched
+    /// pipeline inlines the Markov train/lookup walk (and its HawkEye
+    /// entry replacement) without a virtual call. Only L2 misses and
+    /// tagged prefetch hits train.
     pub fn handle<V: CacheView + ?Sized>(
         &mut self,
         ev: &TrainEvent,
@@ -254,27 +254,20 @@ impl Triage {
             self.bloom.reset();
         }
     }
-}
 
-impl Prefetcher for Triage {
-    fn on_event(
-        &mut self,
-        ev: &TrainEvent,
-        caches: &dyn CacheView,
-        out: &mut Vec<PrefetchRequest>,
-    ) {
-        self.handle(ev, caches, out);
-    }
-
-    fn name(&self) -> &str {
+    /// Display name for reports.
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn desired_markov_ways(&self) -> usize {
+    /// How many L3 ways the prefetcher currently wants for Markov
+    /// metadata.
+    pub fn desired_markov_ways(&self) -> usize {
         self.desired_ways
     }
 
-    fn stats(&self) -> PrefetcherStats {
+    /// Evaluation counters.
+    pub fn stats(&self) -> PrefetcherStats {
         let m = self.markov.stats();
         PrefetcherStats {
             prefetches_issued: self.issued,
@@ -292,7 +285,7 @@ impl Prefetcher for Triage {
     /// (wasted death, skipping *premature* deaths whose fill never
     /// completed). Triage has no pattern classifiers, so there is no
     /// confidence-counter path here.
-    fn on_l2_evict(&mut self, notice: &EvictNotice) {
+    pub fn on_l2_evict(&mut self, notice: &EvictNotice) {
         match notice.temporal_death() {
             Some(true) => self.evict_seen.1 += 1,
             Some(false) => self.evict_seen.0 += 1,
@@ -314,7 +307,9 @@ impl Prefetcher for Triage {
         }
     }
 
-    fn probe(&self, out: &mut triangel_obs::ProbeSet) {
+    /// Exports named internal counters (sizing target, issues, death
+    /// diagnostics, Markov table) into `out`; read-only.
+    pub fn probe(&self, out: &mut triangel_obs::ProbeSet) {
         out.record("desired_ways", self.desired_ways as u64);
         out.record("issued", self.issued);
         out.record("evict_deaths_used", self.evict_seen.0);
@@ -379,7 +374,7 @@ mod tests {
         let mut out = Vec::new();
         for l in lines {
             out.clear();
-            pf.on_event(&ev(pc, *l), &NullCacheView, &mut out);
+            pf.handle(&ev(pc, *l), &NullCacheView, &mut out);
             all.extend(out.iter().copied());
         }
         all
@@ -423,9 +418,9 @@ mod tests {
         let mut out = Vec::new();
         for (a, b) in [(10u64, 100u64), (20, 200), (30, 300)] {
             out.clear();
-            pf.on_event(&ev(0x40, a), &NullCacheView, &mut out);
+            pf.handle(&ev(0x40, a), &NullCacheView, &mut out);
             out.clear();
-            pf.on_event(&ev(0x80, b), &NullCacheView, &mut out);
+            pf.handle(&ev(0x80, b), &NullCacheView, &mut out);
         }
         let reqs = drive(&mut pf, 0x40, &[10]);
         assert_eq!(
@@ -454,7 +449,7 @@ mod tests {
         let mut out = Vec::new();
         let mut e = ev(1, 10);
         e.kind = TrainKind::L1Access;
-        pf.on_event(&e, &NullCacheView, &mut out);
+        pf.handle(&e, &NullCacheView, &mut out);
         assert_eq!(pf.stats().markov_writes, 0);
     }
 

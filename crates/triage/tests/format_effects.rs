@@ -4,7 +4,7 @@
 //! behaviour (Section 3.5).
 
 use triangel_markov::TargetFormat;
-use triangel_prefetch::{NullCacheView, PrefetchRequest, Prefetcher, TrainEvent, TrainKind};
+use triangel_prefetch::{NullCacheView, PrefetchRequest, TrainEvent, TrainKind};
 use triangel_triage::{Triage, TriageConfig};
 use triangel_types::{LineAddr, Pc};
 
@@ -23,7 +23,7 @@ fn drive(pf: &mut Triage, pc: u64, lines: &[u64], n0: &mut u64) -> Vec<PrefetchR
     let mut out = Vec::new();
     for l in lines {
         out.clear();
-        pf.on_event(&ev(pc, *l, *n0), &NullCacheView, &mut out);
+        pf.handle(&ev(pc, *l, *n0), &NullCacheView, &mut out);
         *n0 += 1;
         all.extend(out.iter().copied());
     }
@@ -98,7 +98,7 @@ fn bloom_sizing_grows_monotonically_and_saturates() {
     let mut last_ways = 0;
     for k in 0..240_000u64 {
         let mut out = Vec::new();
-        pf.on_event(&ev(0x40, k * 11, k), &NullCacheView, &mut out);
+        pf.handle(&ev(0x40, k * 11, k), &NullCacheView, &mut out);
         let ways = pf.desired_markov_ways();
         assert!(
             ways >= last_ways,
