@@ -18,9 +18,10 @@
 //!   confidence bit per entry (Section 3.4), with re-indexing on
 //!   partition resize. The table is generic over its replacement
 //!   policy ([`TriageMarkov`] = HawkEye, [`TriangelMarkov`] = SRRIP)
-//!   and backed by a packed set-associative arena
-//!   ([`triangel_types::arena::SetArena`]), so a line probe is one
-//!   contiguous tag sweep; [`MarkovTableImpl`] wraps every shipped
+//!   and backed by one packed set-associative arena
+//!   ([`triangel_types::arena::SetArena`]) per way the partition holds,
+//!   so a line probe is one contiguous tag sweep and an unused way
+//!   costs no memory; [`MarkovTableImpl`] wraps every shipped
 //!   combination for callers that pick the policy at runtime.
 //!
 //! # Examples

@@ -205,7 +205,7 @@ impl Snapshot for EntrySlot {
     }
 }
 
-/// The Markov table: `sets x max_ways` cache lines, each holding
+/// The Markov table: up to `sets x max_ways` cache lines, each holding
 /// `entries_per_line` independently tagged entries.
 ///
 /// Indexing follows Section 3.2: the L3 set comes from the lookup
@@ -215,23 +215,44 @@ impl Snapshot for EntrySlot {
 /// sub-set function, so the whole table is re-indexed and overflow is
 /// dropped.
 ///
-/// Storage is a [`SetArena`] with one arena set per table *line*
-/// (`sets * max_ways` lines of `entries_per_line` slots), so a lookup
-/// probes one contiguous tag slice plus a validity mask — the SRAM
-/// line-fetch the paper describes. The replacement policy is a type
-/// parameter, monomorphizing its `on_hit`/`victim` bookkeeping into
-/// the probe; the shipped combinations have the aliases
-/// [`TriageMarkov`] and [`TriangelMarkov`], and runtime policy
+/// Entry storage follows the partition, as the L3 ways it models do:
+/// one [`SetArena`] block of `sets` lines per way the partition holds,
+/// so way `w` of set `s` is line `s` of `blocks[w]` and a zero-way
+/// table holds no blocks. The Bloom filter and the Set Dueller often
+/// size the partition at a few ways or none, and the blocks of the
+/// ways it never opens are never allocated. A lookup probes one
+/// contiguous tag slice plus a validity mask — the SRAM line-fetch the
+/// paper describes.
+///
+/// The replacement state stays full size (`sets * max_ways` lines),
+/// indexed by the logical line `set * max_ways + way`: re-indexing
+/// moves entries without consulting the policy, so a way that shrinks
+/// away and later grows back is judged on the state it left behind,
+/// exactly as a single `sets * max_ways` arena behaved. The replacement
+/// policy is a type parameter, monomorphizing its `on_hit`/`victim`
+/// bookkeeping into the probe; the shipped combinations have the
+/// aliases [`TriageMarkov`] and [`TriangelMarkov`], and runtime policy
 /// selection goes through [`MarkovTableImpl`].
 #[derive(Debug)]
 pub struct MarkovTable<P: ReplacementPolicy> {
     cfg: MarkovTableConfig,
     set_bits: u32,
     ways: usize,
-    entries: SetArena<EntrySlot>,
+    /// One block per partition way (`blocks.len() == ways`).
+    blocks: Vec<SetArena<EntrySlot>>,
     repl: P,
     lut: Option<LookupTable>,
     stats: MarkovTableStats,
+}
+
+/// Where a lookup address lives: line `set` of `blocks[way]`, and
+/// logical line `repl` (`set * max_ways + way`) of the replacement
+/// state.
+#[derive(Clone, Copy)]
+struct Line {
+    way: usize,
+    set: usize,
+    repl: usize,
 }
 
 /// Triage's Markov table: HawkEye entry replacement (Section 3.3).
@@ -242,7 +263,7 @@ pub type TriangelMarkov = MarkovTable<Rrip>;
 
 impl<P: ReplacementPolicy> MarkovTable<P> {
     /// Creates an empty table with a zero-way (inactive) partition,
-    /// using `repl` for entry replacement.
+    /// and so no entry storage, using `repl` for entry replacement.
     ///
     /// `repl` must have been constructed for `sets * max_ways`
     /// replacement sets of `entries_per_line` ways (what
@@ -261,8 +282,6 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
             cfg.max_ways > 0,
             "partition needs at least one potential way"
         );
-        let epl = cfg.format.entries_per_line();
-        let lines = cfg.sets * cfg.max_ways;
         let lut = match cfg.format {
             TargetFormat::Lut { assoc, .. } => Some(LookupTable::new(assoc)),
             _ => None,
@@ -271,7 +290,7 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
             cfg,
             set_bits: cfg.sets.trailing_zeros(),
             ways: 0,
-            entries: SetArena::new(lines, epl),
+            blocks: Vec::new(),
             repl,
             lut,
             stats: MarkovTableStats::default(),
@@ -312,15 +331,28 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
         (line.index() as usize) & (self.cfg.sets - 1)
     }
 
-    /// The physical line (replacement set index) a lookup address maps
-    /// to under the current partition size, or `None` when inactive.
-    fn line_index(&self, line: LineAddr) -> Option<usize> {
+    /// The line a lookup address maps to under the current partition
+    /// size, or `None` when inactive.
+    fn line_index(&self, line: LineAddr) -> Option<Line> {
         if self.ways == 0 {
             return None;
         }
-        let tag = self.tag_of(line) as usize;
-        let way = tag % self.ways;
-        Some(self.set_of(line) * self.cfg.max_ways + way)
+        let way = self.tag_of(line) as usize % self.ways;
+        let set = self.set_of(line);
+        Some(Line {
+            way,
+            set,
+            repl: set * self.cfg.max_ways + way,
+        })
+    }
+
+    /// The block holding `line`'s entries.
+    fn block(&self, line: Line) -> &SetArena<EntrySlot> {
+        &self.blocks[line.way]
+    }
+
+    fn block_mut(&mut self, line: Line) -> &mut SetArena<EntrySlot> {
+        &mut self.blocks[line.way]
     }
 
     fn encode_target(&mut self, target: LineAddr) -> StoredTarget {
@@ -376,13 +408,13 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
     /// Looks up the prefetch target recorded for `line`, counting one
     /// partition access.
     pub fn lookup(&mut self, line: LineAddr) -> Option<MarkovHit> {
-        let line_idx = self.line_index(line)?;
+        let at = self.line_index(line)?;
         self.stats.reads += 1;
         let tag = self.tag_of(line);
-        let way = self.entries.find(line_idx, tag)?;
+        let way = self.block(at).find(at.set, tag)?;
         let meta = AccessMeta::prefetch(line, None);
-        self.repl.on_hit(line_idx, way, &meta);
-        let slot = *self.entries.payload(line_idx, way);
+        self.repl.on_hit(at.repl, way, &meta);
+        let slot = *self.block(at).payload(at.set, way);
         let target = self.decode_target(slot.target())?;
         Some(MarkovHit {
             target,
@@ -393,10 +425,10 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
     /// Peeks without counting an access or updating replacement (used by
     /// the Metadata Reuse Buffer's update-suppression check).
     pub fn peek(&self, line: LineAddr) -> Option<(LineAddr, bool)> {
-        let line_idx = self.line_index(line)?;
+        let at = self.line_index(line)?;
         let tag = self.tag_of(line);
-        let way = self.entries.find(line_idx, tag)?;
-        let slot = self.entries.payload(line_idx, way);
+        let way = self.block(at).find(at.set, tag)?;
+        let slot = self.block(at).payload(at.set, way);
         Some((self.peek_target(slot.target())?, slot.conf()))
     }
 
@@ -407,7 +439,7 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
     /// a different target clears a set bit first and only replaces once
     /// the bit is clear.
     pub fn train(&mut self, prev: LineAddr, next: LineAddr, pc: Pc) {
-        let Some(line_idx) = self.line_index(prev) else {
+        let Some(at) = self.line_index(prev) else {
             return;
         };
         self.stats.writes += 1;
@@ -415,8 +447,8 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
         let meta = AccessMeta::demand(prev, Some(pc));
 
         // Existing entry?
-        if let Some(way) = self.entries.find(line_idx, tag) {
-            let slot = *self.entries.payload(line_idx, way);
+        if let Some(way) = self.block(at).find(at.set, tag) {
+            let slot = *self.block(at).payload(at.set, way);
             let current = self.peek_target(slot.target());
             let same = current == Some(self.canonical_target(next));
             let updated = if same {
@@ -426,26 +458,26 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
             } else {
                 EntrySlot::new(false, self.encode_target(next))
             };
-            *self.entries.payload_mut(line_idx, way) = updated;
-            self.repl.on_hit(line_idx, way, &meta);
+            *self.block_mut(at).payload_mut(at.set, way) = updated;
+            self.repl.on_hit(at.repl, way, &meta);
             return;
         }
 
         // Allocate: empty slot first, else policy victim.
         let epl = self.cfg.format.entries_per_line();
-        let way = self.entries.first_free(line_idx).unwrap_or_else(|| {
-            let v = self.repl.victim(line_idx, all_ways(epl));
+        let way = self.block(at).first_free(at.set).unwrap_or_else(|| {
+            let v = self.repl.victim(at.repl, all_ways(epl));
             self.stats.entry_evictions += 1;
-            if self.entries.is_valid(line_idx, v) {
-                let old_tag = self.entries.tag(line_idx, v);
+            if self.block(at).is_valid(at.set, v) {
+                let old_tag = self.block(at).tag(at.set, v);
                 self.repl
-                    .on_evict(line_idx, v, LineAddr::new(old_tag as u64));
+                    .on_evict(at.repl, v, LineAddr::new(old_tag as u64));
             }
             v
         });
         let slot = EntrySlot::new(false, self.encode_target(next));
-        self.entries.insert(line_idx, way, tag, slot);
-        self.repl.on_fill(line_idx, way, &meta);
+        self.block_mut(at).insert(at.set, way, tag, slot);
+        self.repl.on_fill(at.repl, way, &meta);
     }
 
     /// Eviction-time entry update: the line prefetched from `prev`'s
@@ -465,14 +497,14 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
     /// Counts one partition write when an entry is updated. Returns
     /// whether an update happened.
     pub fn train_on_evict(&mut self, prev: LineAddr, target: LineAddr, used: bool) -> bool {
-        let Some(line_idx) = self.line_index(prev) else {
+        let Some(at) = self.line_index(prev) else {
             return false;
         };
         let tag = self.tag_of(prev);
-        let Some(way) = self.entries.find(line_idx, tag) else {
+        let Some(way) = self.block(at).find(at.set, tag) else {
             return false;
         };
-        let slot = *self.entries.payload(line_idx, way);
+        let slot = *self.block(at).payload(at.set, way);
         let canonical = self.canonical_target(target);
         if self.peek_target(slot.target()) != Some(canonical) {
             // Retrained since the prefetch issued: stale feedback.
@@ -480,11 +512,11 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
         }
         self.stats.writes += 1;
         if used || slot.conf() {
-            *self.entries.payload_mut(line_idx, way) = slot.with_conf(used);
+            *self.block_mut(at).payload_mut(at.set, way) = slot.with_conf(used);
         } else {
-            self.entries.take(line_idx, way);
+            self.block_mut(at).take(at.set, way);
             self.stats.entry_evictions += 1;
-            self.repl.on_invalidate(line_idx, way);
+            self.repl.on_invalidate(at.repl, way);
         }
         true
     }
@@ -509,37 +541,44 @@ impl<P: ReplacementPolicy> MarkovTable<P> {
             return false;
         }
         self.stats.resizes += 1;
-        self.ways = ways;
+        let old_ways = std::mem::replace(&mut self.ways, ways);
         if ways == 0 {
-            self.stats.reindex_drops += self.entries.occupancy() as u64;
-            self.entries.clear();
+            self.stats.reindex_drops += self.occupancy() as u64;
+            self.blocks = Vec::new();
             return true;
         }
+        // Storage follows the partition: growth opens empty blocks
+        // before the re-index, and a shrink frees the closed ways'
+        // blocks once the re-index has emptied them, so at most
+        // `max(old_ways, ways)` blocks are ever alive.
+        let epl = self.cfg.format.entries_per_line();
+        let sets = self.cfg.sets;
+        self.blocks
+            .resize_with(ways.max(old_ways), || SetArena::new(sets, epl));
         // Entries only move between the lines of their own L3 set, so
-        // re-indexing one set at a time (in ascending line and entry
+        // re-indexing one set at a time (in ascending way and entry
         // order) gives the same table as draining the whole partition
         // first, with a buffer of one set instead of every entry.
-        let max_ways = self.cfg.max_ways;
-        let mut old = Vec::with_capacity(max_ways * self.cfg.format.entries_per_line());
-        for set in 0..self.cfg.sets {
-            let lines = set * max_ways..(set + 1) * max_ways;
-            for line in lines.clone() {
-                self.entries.drain_set_into(line, &mut old);
+        let mut old = Vec::with_capacity(old_ways * epl);
+        for set in 0..sets {
+            for block in &mut self.blocks[..old_ways] {
+                block.drain_set_into(set, &mut old);
             }
             for (tag, slot) in old.drain(..) {
-                let new_line = lines.start + (tag as usize) % ways;
-                match self.entries.first_free(new_line) {
-                    Some(free) => self.entries.insert(new_line, free, tag, slot),
+                let block = &mut self.blocks[(tag as usize) % ways];
+                match block.first_free(set) {
+                    Some(free) => block.insert(set, free, tag, slot),
                     None => self.stats.reindex_drops += 1,
                 }
             }
         }
+        self.blocks.truncate(ways);
         true
     }
 
     /// Number of valid entries currently stored.
     pub fn occupancy(&self) -> usize {
-        self.entries.occupancy()
+        self.blocks.iter().map(SetArena::occupancy).sum()
     }
 }
 
@@ -564,9 +603,21 @@ impl Snapshot for MarkovTableStats {
 }
 
 impl<P: ReplacementPolicy + Snapshot> Snapshot for MarkovTable<P> {
+    /// Writes the logical `sets * max_ways`-line arena format, as one
+    /// arena holding every potential way would: a line at or beyond
+    /// `ways` has no storage and is written as an empty mask.
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.usize(self.ways);
-        self.entries.save(w)?;
+        w.usize(self.cfg.sets * self.cfg.max_ways);
+        w.usize(self.cfg.format.entries_per_line());
+        for set in 0..self.cfg.sets {
+            for block in &self.blocks {
+                block.save_set(set, w)?;
+            }
+            for _ in self.ways..self.cfg.max_ways {
+                w.u64(0);
+            }
+        }
         self.repl.save(w)?;
         match &self.lut {
             Some(lut) => {
@@ -581,8 +632,23 @@ impl<P: ReplacementPolicy + Snapshot> Snapshot for MarkovTable<P> {
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         let ways = r.usize()?;
         snap_check(ways <= self.cfg.max_ways, "Markov ways above maximum")?;
+        r.expect_len(self.cfg.sets * self.cfg.max_ways, "arena sets")?;
+        let epl = self.cfg.format.entries_per_line();
+        r.expect_len(epl, "arena ways")?;
         self.ways = ways;
-        self.entries.restore(r)?;
+        self.blocks = (0..ways)
+            .map(|_| SetArena::new(self.cfg.sets, epl))
+            .collect();
+        for set in 0..self.cfg.sets {
+            for block in &mut self.blocks {
+                block.restore_set(set, r)?;
+            }
+            for _ in ways..self.cfg.max_ways {
+                // No valid table holds an entry outside its partition,
+                // and there is no storage for one.
+                snap_check(r.u64()? == 0, "Markov entry beyond the partition ways")?;
+            }
+        }
         self.repl.restore(r)?;
         let has_lut = r.bool()?;
         snap_check(has_lut == self.lut.is_some(), "LUT presence mismatch")?;
@@ -883,6 +949,68 @@ mod tests {
         assert!(t.stats().resizes >= 2); // initial activate + shrink
     }
 
+    /// A generic LRU table, so the private storage is reachable.
+    fn lru_table(c: MarkovTableConfig) -> MarkovTable<Lru> {
+        let epl = c.format.entries_per_line();
+        MarkovTable::with_policy(c, Lru::new(c.sets * c.max_ways, epl))
+    }
+
+    #[test]
+    fn storage_follows_the_partition() {
+        let mut t = lru_table(MarkovTableConfig {
+            max_ways: 8,
+            ..cfg(TargetFormat::Direct42)
+        });
+        assert!(t.blocks.is_empty(), "a new table holds no storage");
+        let mut drops = 0;
+        for ways in [0, 3, 8, 2, 0] {
+            let before = t.occupancy() as u64;
+            t.set_ways(ways);
+            assert_eq!(t.blocks.len(), ways, "blocks at {ways} ways");
+            assert_eq!(
+                t.occupancy() as u64 + t.stats().reindex_drops - drops,
+                before,
+                "every entry survives or is dropped at {ways} ways"
+            );
+            drops = t.stats().reindex_drops;
+            for k in 0..2000u64 {
+                t.train(LineAddr::new(k * 7), LineAddr::new(k), Pc::new(1));
+            }
+            assert_eq!(t.occupancy() > 0, ways > 0);
+        }
+        assert_eq!(t.stats().resizes, 4);
+    }
+
+    #[test]
+    fn restore_rejects_entries_beyond_the_partition() {
+        let mut t = lru_table(cfg(TargetFormat::Direct42));
+        t.set_ways(2);
+        // Leave L3 set 0 empty, so its lines' masks sit at fixed offsets.
+        for k in 0..300u64 {
+            t.train(
+                LineAddr::new(k * 64 + 1 + k % 63),
+                LineAddr::new(k),
+                Pc::new(1),
+            );
+        }
+        let mut w = SnapWriter::new();
+        t.save(&mut w).unwrap();
+        let mut bytes = w.into_bytes();
+        let mut u = lru_table(cfg(TargetFormat::Direct42));
+        u.restore(&mut SnapReader::new(&bytes)).unwrap();
+        assert_eq!(u.occupancy(), t.occupancy());
+        // The header is ways, lines and entries per line; set 0's
+        // masks follow, and line 2 is the first beyond the partition.
+        let mask = 3 * 8 + 2 * 8;
+        assert_eq!(bytes[mask..mask + 8], [0; 8]);
+        bytes[mask] = 1;
+        let mut v = lru_table(cfg(TargetFormat::Direct42));
+        assert!(matches!(
+            v.restore(&mut SnapReader::new(&bytes)),
+            Err(SnapError::Corrupt(m)) if m.contains("beyond the partition")
+        ));
+    }
+
     #[test]
     fn shrink_to_zero_drops_everything() {
         let mut t = table(TargetFormat::Direct42);
@@ -981,10 +1109,7 @@ mod tests {
         // 10-bit hash cannot tell them apart, so the second trains over
         // the first — the collision behaviour fn. 3 discusses. Uses the
         // generic table directly so the private tag hash is reachable.
-        let c = cfg(TargetFormat::Direct42);
-        let lines = c.sets * c.max_ways;
-        let epl = c.format.entries_per_line();
-        let mut t = MarkovTable::with_policy(c, Lru::new(lines, epl));
+        let mut t = lru_table(cfg(TargetFormat::Direct42));
         t.set_ways(4);
         let a = LineAddr::new(64); // set 0, upper 1
         let tag_a = t.tag_of(a);

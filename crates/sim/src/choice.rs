@@ -88,6 +88,17 @@ impl PrefetcherChoice {
         Some(c)
     }
 
+    /// The sizing window the prefetcher built from this choice runs on,
+    /// given the session's: a custom configuration's own window, the
+    /// session's for the other Triangel variants, `None` for the
+    /// baseline and the fixed Triage variants.
+    pub(crate) fn effective_sizing_window(&self, sizing_window: u64) -> Option<u64> {
+        match self {
+            PrefetcherChoice::TriageCustom(c) => Some(c.sizing_window),
+            _ => self.triangel_config(sizing_window).map(|c| c.sizing_window),
+        }
+    }
+
     /// Builds the prefetcher this choice describes.
     pub fn build_impl(&self, sizing_window: u64) -> PrefetcherImpl {
         self.build_impl_with(sizing_window, None)

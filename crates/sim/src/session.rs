@@ -457,14 +457,15 @@ impl SimSessionBuilder {
     /// [`SimError::NoSources`] without any workload;
     /// [`SimError::ZeroSizingWindow`] for a zero
     /// [`sizing_window`](SimSessionBuilder::sizing_window) on a choice
-    /// that reads it; other [`SimError`]s as [`Engine::try_new`]
+    /// that reads it, or a custom configuration whose own window is
+    /// zero; other [`SimError`]s as [`Engine::try_new`]
     /// reports them.
     pub fn build(self) -> Result<SimSession, SimError> {
         let n_cores = self.sources.len();
         if n_cores == 0 {
             return Err(SimError::NoSources);
         }
-        if self.sizing_window == 0 && self.choice.uses_sizing_window() {
+        if self.choice.effective_sizing_window(self.sizing_window) == Some(0) {
             return Err(SimError::ZeroSizingWindow);
         }
         let system_cfg = self.system.unwrap_or_else(|| {
@@ -518,6 +519,8 @@ impl SimSessionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use triangel_core::TriangelConfig;
+    use triangel_triage::TriageConfig;
     use triangel_types::{Addr, Pc};
     use triangel_workloads::temporal::{TemporalStream, TemporalStreamConfig};
 
@@ -616,6 +619,28 @@ mod tests {
                 .workload(chase(100))
                 .prefetcher(choice)
                 .sizing_window(0)
+                .build()
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err, SimError::ZeroSizingWindow, "{}", choice.label());
+        }
+        // A custom configuration carries its own window, whatever the
+        // session's.
+        let triangel = TriangelConfig {
+            sizing_window: 0,
+            ..TriangelConfig::paper_default()
+        };
+        let triage = TriageConfig {
+            sizing_window: 0,
+            ..TriageConfig::paper_default()
+        };
+        for choice in [
+            PrefetcherChoice::TriangelCustom(triangel),
+            PrefetcherChoice::TriageCustom(triage),
+        ] {
+            let err = SimSession::builder()
+                .workload(chase(100))
+                .prefetcher(choice)
                 .build()
                 .map(|_| ())
                 .unwrap_err();

@@ -221,13 +221,6 @@ impl<T: Default> SetArena<T> {
         self.valid.iter().map(|m| m.count_ones() as usize).sum()
     }
 
-    /// Invalidates every slot, restoring the canonical empty state.
-    pub fn clear(&mut self) {
-        self.valid.iter_mut().for_each(|m| *m = 0);
-        self.tags.iter_mut().for_each(|t| *t = 0);
-        self.slots.iter_mut().for_each(|s| *s = T::default());
-    }
-
     /// Iterates live entries as `(set, way, tag, &payload)` in
     /// ascending `(set, way)` order — the same order a flat linear scan
     /// over the `Option`-array representation visits them.
@@ -263,44 +256,59 @@ impl<T: Default> SetArena<T> {
     }
 }
 
+impl<T: Default + Snapshot> SetArena<T> {
+    /// Writes one set's share of the [`Snapshot`] format: its validity
+    /// mask, then each live way's tag and payload in ascending way
+    /// order. A caller that splits one logical arena across several
+    /// can write it set by set with this.
+    pub fn save_set(&self, set: usize, w: &mut SnapWriter) -> Result<(), SnapError> {
+        w.u64(self.valid[set]);
+        let mut m = self.valid[set];
+        while m != 0 {
+            let way = m.trailing_zeros() as usize;
+            m &= m - 1;
+            w.u16(self.tag(set, way));
+            self.payload(set, way).save(w)?;
+        }
+        Ok(())
+    }
+
+    /// Reads one set written by [`SetArena::save_set`], replacing
+    /// whatever the set held.
+    pub fn restore_set(&mut self, set: usize, r: &mut SnapReader) -> Result<(), SnapError> {
+        let mask = r.u64()?;
+        snap_check(
+            mask & !Self::mask(self.ways) == 0,
+            "arena validity mask has bits beyond the way count",
+        )?;
+        let base = self.base(set);
+        self.tags[base..base + self.ways].fill(0);
+        self.slots[base..base + self.ways]
+            .iter_mut()
+            .for_each(|s| *s = T::default());
+        self.valid[set] = mask;
+        let mut m = mask;
+        while m != 0 {
+            let i = base + m.trailing_zeros() as usize;
+            m &= m - 1;
+            self.tags[i] = r.u16()?;
+            self.slots[i].restore(r)?;
+        }
+        Ok(())
+    }
+}
+
 impl<T: Default + Snapshot> Snapshot for SetArena<T> {
     fn save(&self, w: &mut SnapWriter) -> Result<(), SnapError> {
         w.usize(self.sets);
         w.usize(self.ways);
-        for set in 0..self.sets {
-            w.u64(self.valid[set]);
-            let mut m = self.valid[set];
-            while m != 0 {
-                let way = m.trailing_zeros() as usize;
-                m &= m - 1;
-                w.u16(self.tag(set, way));
-                self.payload(set, way).save(w)?;
-            }
-        }
-        Ok(())
+        (0..self.sets).try_for_each(|set| self.save_set(set, w))
     }
 
     fn restore(&mut self, r: &mut SnapReader) -> Result<(), SnapError> {
         r.expect_len(self.sets, "arena sets")?;
         r.expect_len(self.ways, "arena ways")?;
-        self.clear();
-        for set in 0..self.sets {
-            let mask = r.u64()?;
-            snap_check(
-                mask & !Self::mask(self.ways) == 0,
-                "arena validity mask has bits beyond the way count",
-            )?;
-            self.valid[set] = mask;
-            let mut m = mask;
-            while m != 0 {
-                let way = m.trailing_zeros() as usize;
-                m &= m - 1;
-                let i = set * self.ways + way;
-                self.tags[i] = r.u16()?;
-                self.slots[i].restore(r)?;
-            }
-        }
-        Ok(())
+        (0..self.sets).try_for_each(|set| self.restore_set(set, r))
     }
 }
 

@@ -2,7 +2,7 @@
 """Dependency-free sampling profiler for one Linux process.
 
 Usage:
-    python3 devtools/profile.py [--period-us N] [--top N] -- CMD [ARGS...]
+    python3 devtools/profile.py [--period-us N] [--top N] [--lines] -- CMD [ARGS...]
 
 Runs CMD and samples its instruction pointer on a CPU-time clock, then
 prints the functions that own the samples, with inline frames resolved
@@ -37,6 +37,14 @@ Two shares are reported per function, each over all samples:
 An inlined frame carries only its short name, so it is printed with
 the frame it was inlined into: ``find in contains``,
 ``{closure#0} in Cache::fill_at``.
+
+``--lines`` adds a second table: the share of samples per innermost
+source line, each with its two inline callers, e.g.
+``markov/src/table.rs:157 <lookup <MarkovTableImpl::lookup``. It
+tells a stall on one load from the rest of the function it sits in.
+The line's own function is not named: where DWARF has a line-table
+row but no inlined-subroutine entry for an address, ``addr2line``
+prints the outermost function's name with the innermost line.
 
 Build with line tables for useful names, e.g.
 ``CARGO_PROFILE_RELEASE_DEBUG=line-tables-only cargo build --release``.
@@ -190,7 +198,8 @@ def to_file_addresses(ips, maps):
 
 
 def inline_chains(path, addrs):
-    """{address: [innermost function, ..., outermost]} via addr2line."""
+    """{address: [(function, file:line), ...]}, innermost frame first,
+    via addr2line."""
     query = "".join(f"{a:#x}\n" for a in addrs)
     run = subprocess.run(["addr2line", "-e", path, "-a", "-f", "-i", "-C"],
                          input=query, capture_output=True, text=True, check=False)
@@ -207,7 +216,8 @@ def inline_chains(path, addrs):
             continue
         # Function name, then its file:line.
         if current is not None:
-            chains[current].append(line)
+            loc = lines[i + 1] if i + 1 < len(lines) else "??:0"
+            chains[current].append((line, loc))
         i += 2
     return chains
 
@@ -238,8 +248,17 @@ def labels(chain):
     return out
 
 
+def location(loc):
+    """``file:line`` with the file's last three path segments and no
+    discriminator: ``crates/markov/src/table.rs:157 (discriminator 2)``
+    becomes ``markov/src/table.rs:157``."""
+    loc = loc.split(" (")[0]
+    return "/".join(loc.split("/")[-3:])
+
+
 def shares(resolved):
-    """(self Counter, inclusive Counter) over resolved sample addresses."""
+    """(self Counter, inclusive Counter, per-line Counter) over resolved
+    sample addresses."""
     by_file = collections.defaultdict(set)
     for path, addr in resolved:
         if path is not None:
@@ -250,14 +269,22 @@ def shares(resolved):
             chains[(path, addr)] = chain
     own = collections.Counter()
     incl = collections.Counter()
+    at = collections.Counter()
     for path, addr in resolved:
-        chain = labels([f for f in chains.get((path, addr), []) if f != "??"])
+        frames = [f for f in chains.get((path, addr), []) if f[0] != "??"]
+        chain = labels([name for name, _ in frames])
         if not chain:
             chain = [f"[{os.path.basename(path)}]" if path else "[unmapped]"]
         own[chain[0]] += 1
         for name in set(chain):
             incl[name] += 1
-    return own, incl
+        if frames:
+            callers = frames[1:3] if len(frames) > 1 else frames[:1]
+            names = "".join(f" <{short(name)}" for name, _ in callers)
+            at[location(frames[0][1]) + names] += 1
+        else:
+            at[chain[0]] += 1
+    return own, incl, at
 
 
 def main():
@@ -268,6 +295,8 @@ def main():
                     help="CPU time between samples, in microseconds (default 1000)")
     ap.add_argument("--top", type=int, default=30,
                     help="rows to print, by inclusive share (default 30)")
+    ap.add_argument("--lines", action="store_true",
+                    help="also print the innermost source lines, by self share")
     ap.add_argument("cmd", nargs=argparse.REMAINDER,
                     help="the command to run, after --")
     args = ap.parse_args()
@@ -315,11 +344,16 @@ def main():
           f"{ring.lost} lost", file=sys.stderr)
     if total == 0:
         return status
-    own, incl = shares(to_file_addresses(ring.ips, maps))
+    own, incl, at = shares(to_file_addresses(ring.ips, maps))
     print(f"{'incl%':>6} {'self%':>6}  function")
     for name, n in incl.most_common(args.top):
         shown = name if len(name) <= 120 else name[:117] + "..."
         print(f"{100 * n / total:6.1f} {100 * own[name] / total:6.1f}  {shown}")
+    if args.lines:
+        print(f"\n{'self%':>6}  line <inline caller <its caller")
+        for name, n in at.most_common(args.top):
+            shown = name if len(name) <= 120 else name[:117] + "..."
+            print(f"{100 * n / total:6.1f}  {shown}")
     return status
 
 
