@@ -1062,7 +1062,8 @@ fn traces_trace_spec(params: RunParams) -> WorkloadSpec {
 /// replay row, each compared against its stride-only baseline under
 /// the [`TRACES_CONFIGS`] columns. Emits speedup/accuracy tables and
 /// the machine-readable `BENCH_traces.json`, whose trace row carries
-/// the header digest and wrap arithmetic.
+/// the trace header's record count and checksum and the wrap
+/// arithmetic.
 pub(super) fn traces(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let params = ctx.params.run_params();
     let trace_spec = traces_trace_spec(params);
@@ -1110,8 +1111,8 @@ pub(super) fn traces(ctx: &mut FigureContext) -> Vec<FigureOutput> {
 /// The `traces` artifact (`BENCH_traces.json`): every row but the last
 /// comes from a generator; the last replays the recorded trace
 /// `(records, checksum)` under the looping end-of-trace policy, so its
-/// row carries the header digest and the per-core access count it
-/// replayed — the wrap arithmetic is evident in the artifact.
+/// row carries that record count and checksum and the per-core access
+/// count it replayed — the wrap arithmetic is evident in the artifact.
 /// `comparison(row, col)` reads the grid. Carries no wall-clock
 /// numbers, so its bytes are fully deterministic.
 fn traces_document(

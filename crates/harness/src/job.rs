@@ -61,10 +61,10 @@ pub enum WorkloadSpec {
     Irregular(IrregularWorkload),
     /// Replay of a recorded binary trace file
     /// ([`triangel_workloads::trace_file`]) under the looping
-    /// end-of-trace policy. The key carries the path *and* the header
-    /// digest fields, so editing a trace in place changes every
-    /// dependent job's key instead of silently serving stale cached
-    /// results. Build with [`WorkloadSpec::trace_file`], which reads
+    /// end-of-trace policy. The key carries the path *and* the
+    /// header's record count and checksum, so editing a trace in place
+    /// changes every dependent job's key instead of silently serving
+    /// stale cached results. Build with [`WorkloadSpec::trace_file`], which reads
     /// the header once and fails loudly on malformed files.
     TraceFile {
         /// Path of the `.trc` file.

@@ -8,15 +8,25 @@
 //! 0       8     magic  "TRGLTRC\0"
 //! 8       4     format version (little-endian u32)
 //! 12      8     record count   (little-endian u64)
-//! 20      8     fnv1a-64 checksum of the record payload
+//! 20      8     payload checksum   (little-endian u64, see below)
 //! 28      18×N  records: pc u64 | vaddr u64 | flags u8 | work u8
 //! ```
 //!
 //! `flags` bit 0 is [`MemoryAccess::dependent`]; the remaining bits
-//! must be zero in version 1. All integers are little-endian. The
-//! count and checksum are patched into the header when recording
-//! finishes, so a crashed recorder leaves a file that fails
-//! validation loudly instead of replaying a truncated run.
+//! must be zero. All integers are little-endian. The count and
+//! checksum are patched into the header when recording finishes, so a
+//! crashed recorder leaves a file that fails validation loudly instead
+//! of replaying a truncated run.
+//!
+//! The checksum (format version 2) hashes the payload one record field
+//! at a time, in three lanes: one for `pc`, one for `vaddr` and one for
+//! the word `flags | work << 8`. Each lane is an [`FxHasher`] chain
+//! started from its own seed word, advanced by one multiply per record.
+//! The checksum is a fourth chain over the record count and the three
+//! lane states, in that order. Every mix step is injective in its input
+//! word and a bijection of the state, so a change confined to one field
+//! of one record always changes the checksum. That is one multiply per
+//! field, in three chains whose multiplies overlap.
 //!
 //! Replay goes through [`FileTrace`], a [`TraceSource`] that streams
 //! records through a buffered reader in ring-sized chunks. Unlike
@@ -27,9 +37,11 @@
 //! an interrupted campaign resumes mid-trace byte-identically.
 
 use std::fs::File;
+use std::hash::Hasher;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use triangel_types::hash::FxHasher;
 use triangel_types::snap::{snap_check, SnapError, SnapReader, SnapWriter};
 use triangel_types::{Addr, Pc};
 
@@ -39,7 +51,7 @@ use crate::trace::{AccessRing, MemoryAccess, TraceReplayStats, TraceSource};
 pub const TRACE_MAGIC: [u8; 8] = *b"TRGLTRC\0";
 
 /// Current trace-file format version.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+pub const TRACE_FORMAT_VERSION: u32 = 2;
 
 /// Bytes of header before the first record.
 pub const TRACE_HEADER_LEN: u64 = 28;
@@ -49,16 +61,51 @@ pub const TRACE_RECORD_LEN: u64 = 18;
 
 const FLAG_DEPENDENT: u8 = 1;
 
-fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
-    let mut h = seed;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+/// Records per read while [`FileTrace::open`] verifies the checksum
+/// (about 64 KiB).
+const CHECK_CHUNK_RECORDS: usize = 3641;
+
+/// Seed words of the checksum's pc, vaddr and flags/work lanes.
+const LANE_SEEDS: [u64; 3] = [
+    0x243f_6a88_85a3_08d3,
+    0x1319_8a2e_0370_7344,
+    0xa409_3822_299f_31d0,
+];
+
+/// The payload checksum of the module docs: three lanes, one per
+/// record field, folded with the record count by [`Self::finish`].
+#[derive(Debug)]
+struct PayloadHash {
+    lanes: [FxHasher; 3],
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+impl PayloadHash {
+    fn new() -> Self {
+        let mut lanes = [FxHasher::default(); 3];
+        for (lane, seed) in lanes.iter_mut().zip(LANE_SEEDS) {
+            lane.write_u64(seed);
+        }
+        PayloadHash { lanes }
+    }
+
+    /// Hashes one encoded record.
+    #[inline]
+    fn push(&mut self, rec: &[u8]) {
+        let word = |at: usize| u64::from_le_bytes(rec[at..at + 8].try_into().unwrap());
+        self.lanes[0].write_u64(word(0));
+        self.lanes[1].write_u64(word(8));
+        self.lanes[2].write_u64(u64::from(rec[16]) | u64::from(rec[17]) << 8);
+    }
+
+    fn finish(&self, records: u64) -> u64 {
+        let mut fold = FxHasher::default();
+        fold.write_u64(records);
+        for lane in &self.lanes {
+            fold.write_u64(lane.finish());
+        }
+        fold.finish()
+    }
+}
 
 /// The validated header of a trace file: record count and payload
 /// checksum. Cheap to read (no payload scan), so harness content keys
@@ -67,19 +114,8 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 pub struct TraceFileHeader {
     /// Number of records in the file.
     pub records: u64,
-    /// fnv1a-64 over the record payload.
+    /// The payload checksum (module docs).
     pub checksum: u64,
-}
-
-impl TraceFileHeader {
-    /// A compact digest of the header (count and checksum folded
-    /// together), used in job content keys.
-    pub fn digest(&self) -> u64 {
-        let mut bytes = [0u8; 16];
-        bytes[..8].copy_from_slice(&self.records.to_le_bytes());
-        bytes[8..].copy_from_slice(&self.checksum.to_le_bytes());
-        fnv1a(FNV_OFFSET, &bytes)
-    }
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -128,7 +164,12 @@ fn parse_header(path: &Path, raw: &[u8; 28], file_len: u64) -> io::Result<TraceF
 /// unknown version, or a length mismatch.
 pub fn read_trace_header(path: impl AsRef<Path>) -> io::Result<TraceFileHeader> {
     let path = path.as_ref();
-    let mut file = File::open(path)?;
+    read_header_from(path, &mut File::open(path)?)
+}
+
+/// [`read_trace_header`] on an open `file`, leaving its cursor at the
+/// first record.
+fn read_header_from(path: &Path, file: &mut File) -> io::Result<TraceFileHeader> {
     let file_len = file.metadata()?.len();
     if file_len < TRACE_HEADER_LEN {
         return Err(bad(format!(
@@ -152,7 +193,7 @@ pub struct TraceFileWriter {
     out: BufWriter<File>,
     path: PathBuf,
     records: u64,
-    hash: u64,
+    hash: PayloadHash,
 }
 
 impl TraceFileWriter {
@@ -164,7 +205,7 @@ impl TraceFileWriter {
     pub fn create(path: impl Into<PathBuf>) -> io::Result<Self> {
         let path = path.into();
         let file = File::create(&path)?;
-        let mut out = BufWriter::new(file);
+        let mut out = BufWriter::with_capacity(64 * 1024, file);
         out.write_all(&TRACE_MAGIC)?;
         out.write_all(&TRACE_FORMAT_VERSION.to_le_bytes())?;
         out.write_all(&[0u8; 16])?; // count + checksum, patched by finish()
@@ -172,7 +213,7 @@ impl TraceFileWriter {
             out,
             path,
             records: 0,
-            hash: FNV_OFFSET,
+            hash: PayloadHash::new(),
         })
     }
 
@@ -188,7 +229,7 @@ impl TraceFileWriter {
         rec[16] = if access.dependent { FLAG_DEPENDENT } else { 0 };
         rec[17] = access.work;
         self.out.write_all(&rec)?;
-        self.hash = fnv1a(self.hash, &rec);
+        self.hash.push(&rec);
         self.records += 1;
         Ok(())
     }
@@ -211,11 +252,12 @@ impl TraceFileWriter {
         let file = self.out.get_mut();
         file.seek(SeekFrom::Start(12))?;
         file.write_all(&self.records.to_le_bytes())?;
-        file.write_all(&self.hash.to_le_bytes())?;
+        let checksum = self.hash.finish(self.records);
+        file.write_all(&checksum.to_le_bytes())?;
         file.sync_all()?;
         Ok(TraceFileHeader {
             records: self.records,
-            checksum: self.hash,
+            checksum,
         })
     }
 }
@@ -283,22 +325,27 @@ impl FileTrace {
     /// validation failure.
     pub fn open(path: impl AsRef<Path>, policy: EndPolicy) -> io::Result<Self> {
         let path = path.as_ref();
-        let header = read_trace_header(path)?;
+        let mut file = File::open(path)?;
+        let header = read_header_from(path, &mut file)?;
         let name = path
             .file_stem()
             .map(|s| s.to_string_lossy().into_owned())
             .unwrap_or_else(|| "trace".to_string());
-        let mut reader = BufReader::new(File::open(path)?);
-        reader.seek(SeekFrom::Start(TRACE_HEADER_LEN))?;
-        let mut hash = FNV_OFFSET;
-        let mut buf = vec![0u8; 64 * 1024];
-        loop {
-            let n = reader.read(&mut buf)?;
-            if n == 0 {
-                break;
+        // Reads this large bypass the reader's own buffer.
+        let mut reader = BufReader::new(file);
+        let mut hash = PayloadHash::new();
+        let mut buf = vec![0u8; CHECK_CHUNK_RECORDS * TRACE_RECORD_LEN as usize];
+        let mut left = header.records;
+        while left > 0 {
+            let n = left.min(CHECK_CHUNK_RECORDS as u64) as usize;
+            let chunk = &mut buf[..n * TRACE_RECORD_LEN as usize];
+            reader.read_exact(chunk)?;
+            for rec in chunk.chunks_exact(TRACE_RECORD_LEN as usize) {
+                hash.push(rec);
             }
-            hash = fnv1a(hash, &buf[..n]);
+            left -= n as u64;
         }
+        let hash = hash.finish(header.records);
         if hash != header.checksum {
             return Err(bad(format!(
                 "{}: payload checksum mismatch (file corrupt or recorder crashed)",
@@ -529,19 +576,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_payload_rejected_at_open() {
-        let path = tmp("corrupt.trc");
-        let mut src = RecordedTrace::new("src", sample_accesses(4));
-        record_trace(&mut src, 4, &path).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let n = bytes.len();
-        bytes[n - 1] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = FileTrace::open(&path, EndPolicy::Loop).unwrap_err();
-        assert!(err.to_string().contains("checksum mismatch"), "{err}");
-    }
-
-    #[test]
     fn truncated_file_rejected_by_header_read() {
         let path = tmp("trunc.trc");
         let mut src = RecordedTrace::new("src", sample_accesses(4));
@@ -571,10 +605,78 @@ mod tests {
         let mut s2 = RecordedTrace::new("s", sample_accesses(8));
         let h1 = record_trace(&mut s1, 8, &p1).unwrap();
         let h2 = record_trace(&mut s2, 8, &p2).unwrap();
-        assert_eq!(h1.digest(), h2.digest());
+        assert_eq!(h1, h2);
         let mut s3 = RecordedTrace::new("s", sample_accesses(9));
         let p3 = tmp("dig3.trc");
         let h3 = record_trace(&mut s3, 9, &p3).unwrap();
-        assert_ne!(h1.digest(), h3.digest());
+        assert_ne!(h1, h3);
+    }
+
+    /// Records `sample_accesses(n)` to `name` and returns the file's bytes.
+    fn recorded_bytes(name: &str, n: u64) -> (PathBuf, Vec<u8>) {
+        let path = tmp(name);
+        let mut src = RecordedTrace::new("src", sample_accesses(n));
+        record_trace(&mut src, n, &path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        (path, bytes)
+    }
+
+    fn assert_checksum_mismatch(path: &Path, bytes: &[u8], what: &str) {
+        std::fs::write(path, bytes).unwrap();
+        match FileTrace::open(path, EndPolicy::Loop) {
+            Ok(_) => panic!("{what}: accepted"),
+            Err(err) => assert!(
+                err.to_string().contains("checksum mismatch"),
+                "{what}: {err}"
+            ),
+        }
+    }
+
+    #[test]
+    fn every_payload_bit_flip_rejected_at_open() {
+        let (path, clean) = recorded_bytes("flips.trc", 8);
+        for record in [0u64, 4, 7] {
+            for offset in 0..TRACE_RECORD_LEN {
+                let at = (TRACE_HEADER_LEN + record * TRACE_RECORD_LEN + offset) as usize;
+                for bit in 0..8 {
+                    let mut bytes = clean.clone();
+                    bytes[at] ^= 1 << bit;
+                    let what = format!("record {record} byte {offset} bit {bit}");
+                    assert_checksum_mismatch(&path, &bytes, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swapped_records_rejected_at_open() {
+        let (path, mut bytes) = recorded_bytes("swap.trc", 8);
+        let rec = |i: usize| TRACE_HEADER_LEN as usize + i * TRACE_RECORD_LEN as usize;
+        let (head, tail) = bytes.split_at_mut(rec(5));
+        head[rec(2)..rec(3)].swap_with_slice(&mut tail[..TRACE_RECORD_LEN as usize]);
+        assert_checksum_mismatch(&path, &bytes, "records 2 and 5 swapped");
+    }
+
+    #[test]
+    fn version_one_file_gets_the_version_error() {
+        let (path, mut bytes) = recorded_bytes("v1.trc", 8);
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let want = "trace format version 1, this build reads 2";
+        let err = read_trace_header(&path).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+        let err = FileTrace::open(&path, EndPolicy::Loop).unwrap_err();
+        assert!(err.to_string().contains(want), "{err}");
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // Changing the checksum's definition changes every recorded
+        // file's header and every trace job's key: do it on purpose,
+        // with a format version bump.
+        let path = tmp("pin.trc");
+        let mut src = RecordedTrace::new("src", sample_accesses(8));
+        let header = record_trace(&mut src, 8, &path).unwrap();
+        assert_eq!(header.checksum, 0xe758_5586_b11d_a90e);
     }
 }
