@@ -8,7 +8,7 @@
 //! # Regenerate every fixture (then inspect `git diff` and commit):
 //! cargo run --release -p triangel-bench --bin bless
 //!
-//! # Regenerate a subset:
+//! # Regenerate a subset (`--filter` as in `all_figures`):
 //! cargo run --release -p triangel-bench --bin bless -- --filter evict
 //!
 //! # Verify without writing (CI: nonzero exit on any drift):
@@ -22,7 +22,7 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use triangel_harness::filter::Pattern;
+use triangel_bench::name_filter::NameFilter;
 use triangel_harness::goldens;
 
 struct Fixture {
@@ -57,29 +57,24 @@ fn fixtures() -> Vec<Fixture> {
 
 fn main() -> ExitCode {
     let mut check = false;
-    let mut filter: Option<Pattern> = None;
+    let mut filter: Option<NameFilter> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--check" => check = true,
-            "--filter" => {
-                let v = match args.next() {
-                    Some(v) => v,
-                    None => {
-                        eprintln!("--filter needs a regex");
-                        return ExitCode::from(2);
-                    }
-                };
-                match Pattern::new(&v) {
-                    Ok(p) => filter = Some(p),
-                    Err(e) => {
-                        eprintln!("bad --filter regex: {e}");
-                        return ExitCode::from(2);
-                    }
+            "--filter" => match args
+                .next()
+                .ok_or_else(|| "--filter needs a pattern".to_string())
+                .and_then(|v| NameFilter::new(&v))
+            {
+                Ok(f) => filter = Some(f),
+                Err(e) => {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
                 }
-            }
+            },
             other => {
-                eprintln!("unknown argument `{other}` (expected --check, --filter RE)");
+                eprintln!("unknown argument `{other}` (expected --check, --filter NAMES)");
                 return ExitCode::from(2);
             }
         }

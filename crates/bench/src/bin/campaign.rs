@@ -1,7 +1,7 @@
 //! The paper-scale campaign runner: checkpointable, resumable runs of
 //! the `features` ablation and the headline (Figs. 10–15) sweep.
 //!
-//! Unlike the figure binaries (which run a sweep to completion in one
+//! Unlike `all_figures` (which runs a sweep to completion in one
 //! process), this binary drives its jobs through
 //! [`triangel_harness::Campaign`]: every simulation advances in
 //! segments, checkpoints its full state into the result store at
@@ -25,8 +25,8 @@
 //! * `--out-dir DIR` — the campaign's result store (default
 //!   `campaign-out`): finished reports, checkpoints, the `manifest.tsv`
 //!   view and the emitted artefacts. Re-running with the same directory
-//!   resumes; any figure binary run with `--store DIR` on it is served
-//!   the campaign's results.
+//!   resumes; `all_figures --store DIR` on it is served the campaign's
+//!   results.
 //! * `--segment N` — checkpoint interval in accesses per core.
 //! * `--max-segments K` — stop after K segments (forced interrupt; CI
 //!   uses this to exercise resume).

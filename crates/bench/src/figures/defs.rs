@@ -62,6 +62,9 @@ pub const FIG16_PAIRS: [(SpecWorkload, SpecWorkload); 4] = [
     (SpecWorkload::Sphinx, SpecWorkload::Xalan),
 ];
 
+/// Fig. 16: each pair shares the L3 (and so the Markov partition) and
+/// the DRAM channel; a pair's speedup is the geomean of its two cores'
+/// IPC ratios against the same pair under the stride-only baseline.
 pub(super) fn fig16(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let mut grid = GridSpec::new(ctx.params.run_params()).columns([
         PrefetcherChoice::Triage,
@@ -81,6 +84,11 @@ pub(super) fn fig16(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     )])
 }
 
+/// Fig. 17 (Sec. 6.4): Graph500 search, the adversarial workload.
+/// `s16 e10` fits the Markov range but repeats too little; `s21 e10`'s
+/// reuse distances exceed any on-chip capacity. Ideally the temporal
+/// prefetchers do nothing: Triage slows the system, while Triangel's
+/// classifiers largely switch off.
 pub(super) fn fig17(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let inputs: Vec<Graph500Config> = if quick_mode() {
         vec![Graph500Config::tiny()]
@@ -129,6 +137,10 @@ pub(super) fn fig17(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     ])
 }
 
+/// Fig. 18 (Sec. 6.5): Triage under five Markov entry formats: the
+/// default 32-bit entry with a 16-way 1024-entry lookup table, an ideal
+/// (never-wrong) lookup table, a fully-associative one, Triangel's
+/// 42-bit direct format, and the 10-bit-offset variant.
 pub(super) fn fig18(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let formats = [
         TargetFormat::triage_default(),
@@ -150,6 +162,10 @@ pub(super) fn fig18(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     )])
 }
 
+/// Fig. 19 (Sec. 6.5): Triage's lookup-table accuracy with 11 and 10
+/// offset bits under fragmented page mapping. With 10 bits the table
+/// tracks twice as many upper-bit regions; once its 1024 entries run
+/// out, stale indices rebuild wrong addresses and accuracy collapses.
 pub(super) fn fig19(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let variants = [
         ("11-bit", TargetFormat::triage_default()),
@@ -170,6 +186,9 @@ pub(super) fn fig19(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     )])
 }
 
+/// Fig. 20 (Sec. 6.6): the ablation ladder from Triage Degree-4, one
+/// more Triangel mechanism per column in the paper's order; prints (a)
+/// speedup and (b) normalized DRAM traffic.
 pub(super) fn fig20(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let mut grid = GridSpec::new(ctx.params.run_params()).spec_rows();
     for step in 0..=8 {
@@ -262,6 +281,9 @@ pub(super) fn table2(_ctx: &mut FigureContext) -> Vec<FigureOutput> {
     vec![FigureOutput::Text(out)]
 }
 
+/// Sec. 3.3: LRU, SRRIP and HawkEye Markov-entry replacement barely
+/// differ at the full 1 MiB table and differ more at a quarter-size
+/// (2-way) partition.
 pub(super) fn sec33_replacement(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     use triangel_cache::replacement::PolicyKind;
     let policies = [
@@ -294,188 +316,7 @@ pub(super) fn sec33_replacement(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     out
 }
 
-/// The perf smoke sweep's fixed scale. Deliberately *not* tied to
-/// `TRIANGEL_QUICK`/`TRIANGEL_WARMUP`: the trajectory is only
-/// comparable across PRs if every measurement simulates the same work.
-const PERF_PARAMS: RunParams = RunParams {
-    warmup: 50_000,
-    accesses: 50_000,
-    sizing_window: 25_000,
-    seed: 42,
-};
-
-/// The recorded reference measurement for `BENCH_perf.json` (label,
-/// wall ms, accesses/s), taken with `--jobs 1` on the repo's dev
-/// container. PR 2's pre-refactor hot path (HashMap `ready_at` /
-/// HashSet `temporal_resident` side tables in `MemorySystem`, HashMap
-/// MSHR file, SipHash page/stride tables) is the trajectory's origin;
-/// update the label and numbers only when the sweep's shape changes and
-/// the trajectory must restart.
-const PERF_BASELINE: (&str, f64, f64) = (
-    "PR 1 side-table hot path (pre-refactor)",
-    1537.0,
-    1_366_000.0,
-);
-
-pub(super) fn perf(ctx: &mut FigureContext) -> Vec<FigureOutput> {
-    let grid = || {
-        GridSpec::new(PERF_PARAMS)
-            .spec_rows()
-            .columns([PrefetcherChoice::Triage, PrefetcherChoice::Triangel])
-    };
-    // Serial and with a private (empty) cache: the wall clock must
-    // measure simulation throughput, not scheduling or result reuse.
-    let t0 = std::time::Instant::now();
-    let result = grid()
-        .run(&SweepOptions::serial())
-        .unwrap_or_else(|e| panic!("{e}"));
-    let serial_s = t0.elapsed().as_secs_f64();
-    ctx.absorb(result.stats);
-
-    let jobs = result.stats.executed;
-    let total_accesses = jobs as u64 * (PERF_PARAMS.warmup + PERF_PARAMS.accesses);
-
-    // The parallel-scaling curve: jobs ∈ {1, 2, N}, each width on a
-    // fresh private cache so it executes the full job list. The
-    // scheduler takes the thread-free serial path whenever workers==1
-    // (`pool::run_indexed`), so the measurement above *is* the jobs=1
-    // point — re-running it would record pure run-to-run noise as
-    // "scheduling overhead". Wider points (2, one-per-core) expose
-    // real scheduler + memory-bandwidth overhead.
-    let max_workers = triangel_harness::pool::default_workers();
-    let mut widths = vec![(1usize, serial_s)];
-    let mut wider = vec![2usize, max_workers];
-    wider.sort_unstable();
-    wider.dedup();
-    wider.retain(|w| *w > 1);
-    for workers in wider {
-        let t0 = std::time::Instant::now();
-        let result = grid()
-            .run(&SweepOptions::parallel(workers))
-            .unwrap_or_else(|e| panic!("{e}"));
-        widths.push((workers, t0.elapsed().as_secs_f64()));
-        ctx.absorb(result.stats);
-    }
-
-    // The per-cell cost: the same 7 workloads timed as a baseline-only
-    // and a Triangel-only job list, serial on a private cache. Their
-    // wall-time ratio isolates what the temporal prefetcher's metadata
-    // tables (training, Markov, issue) cost one simulation.
-    let mut time_cells = |choice: PrefetcherChoice| -> f64 {
-        let mut sweep = Sweep::new();
-        for wl in SpecWorkload::ALL {
-            sweep.push(JobSpec::new(WorkloadSpec::Spec(wl), choice, PERF_PARAMS));
-        }
-        let t0 = std::time::Instant::now();
-        let result = sweep.run(&SweepOptions::serial());
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        for r in result.results {
-            r.unwrap_or_else(|e| panic!("{e}"));
-        }
-        ctx.absorb(result.stats);
-        wall_ms
-    };
-    let cell_ms = (
-        time_cells(PrefetcherChoice::Baseline),
-        time_cells(PrefetcherChoice::Triangel),
-    );
-
-    let rate = |wall_s: f64| total_accesses as f64 / wall_s;
-    eprintln!(
-        "[perf] {jobs} job(s), {:.0} ms wall, {:.3}M accesses/s — {:.2}x vs `{}`",
-        serial_s * 1e3,
-        rate(serial_s) / 1e6,
-        rate(serial_s) / PERF_BASELINE.2,
-        PERF_BASELINE.0,
-    );
-    for &(workers, wall_s) in &widths {
-        eprintln!(
-            "[perf]   --jobs {workers}: {:.0} ms, {:.3}M accesses/s ({:.2}x vs serial)",
-            wall_s * 1e3,
-            rate(wall_s) / 1e6,
-            rate(wall_s) / rate(serial_s),
-        );
-    }
-    eprintln!(
-        "[perf]   per-cell cost: Triangel {:.0} ms / baseline {:.0} ms = {:.2}x",
-        cell_ms.1,
-        cell_ms.0,
-        cell_ms.1 / cell_ms.0,
-    );
-    vec![FigureOutput::Json {
-        name: "BENCH_perf".into(),
-        body: perf_document(jobs, total_accesses, &widths, cell_ms),
-    }]
-}
-
-/// One `{label, wall_ms, accesses_per_sec}` record of the perf artifact.
-fn perf_record(label: &str, wall_ms: f64, accesses_per_sec: f64) -> Value {
-    Value::obj([
-        ("label", label.into()),
-        ("wall_ms", wall_ms.into()),
-        ("accesses_per_sec", accesses_per_sec.into()),
-    ])
-}
-
-/// The perf-trajectory artifact (`BENCH_perf.json`): the fixed smoke
-/// sweep timed under the current build against [`PERF_BASELINE`].
-/// `widths` holds each measured pool width's `(workers, wall seconds)`,
-/// the serial run first; `cell_ms` the baseline-only and Triangel-only
-/// job lists' wall milliseconds. Wall times are machine-dependent; the
-/// `speedup` of two runs on the *same* machine is the tracked number.
-///
-/// Schema history: 2 = adds the parallel-scaling curve; 3 = adds the
-/// `cell_cost` object with the per-cell Triangel ÷ baseline `ratio`.
-fn perf_document(
-    jobs: usize,
-    total_accesses: u64,
-    widths: &[(usize, f64)],
-    cell_ms: (f64, f64),
-) -> Value {
-    let rate = |wall_s: f64| total_accesses as f64 / wall_s;
-    let serial_s = widths[0].1;
-    let (label, wall_ms, baseline_rate) = PERF_BASELINE;
-    let scaling = widths.iter().map(|&(workers, wall_s)| {
-        Value::obj([
-            ("workers", workers.into()),
-            ("wall_ms", (wall_s * 1e3).into()),
-            ("accesses_per_sec", rate(wall_s).into()),
-            ("speedup_vs_serial", (rate(wall_s) / rate(serial_s)).into()),
-        ])
-    });
-    Value::obj([
-        ("schema", 3u64.into()),
-        ("figure", "perf".into()),
-        (
-            "sweep",
-            format!(
-                "7 SPEC workloads x {{Baseline, Triage, Triangel}}, warmup {} + {} accesses each, serial + jobs scaling",
-                PERF_PARAMS.warmup, PERF_PARAMS.accesses
-            )
-            .into(),
-        ),
-        ("jobs", jobs.into()),
-        ("total_accesses", total_accesses.into()),
-        ("baseline", perf_record(label, wall_ms, baseline_rate)),
-        (
-            "current",
-            perf_record("working tree", serial_s * 1e3, rate(serial_s)),
-        ),
-        ("speedup", (rate(serial_s) / baseline_rate).into()),
-        ("scaling", scaling.collect()),
-        (
-            "cell_cost",
-            Value::obj([
-                ("baseline_wall_ms", cell_ms.0.into()),
-                ("triangel_wall_ms", cell_ms.1.into()),
-                ("ratio", (cell_ms.1 / cell_ms.0).into()),
-            ]),
-        ),
-    ])
-}
-
-/// The `features` ablation's fixed smoke scale. Like `perf`,
-/// deliberately not tied to `TRIANGEL_QUICK`/`TRIANGEL_WARMUP`: the
+/// The `features` ablation's fixed smoke scale. Deliberately not tied to `TRIANGEL_QUICK`/`TRIANGEL_WARMUP`: the
 /// gate's effect is only comparable across PRs if every measurement
 /// simulates the same work — and the scale must be large enough that
 /// temporal fills die (eviction training is a no-op until lines
@@ -522,8 +363,8 @@ pub fn features_grid(params: RunParams) -> GridSpec {
 /// The `features` ablation: the Fig. 20 feature ladder, each step run
 /// with the experimental `train_on_eviction` gate off and on, over the
 /// smoke sweep. Emits the per-step off/on metrics as
-/// `BENCH_features_smoke.json` (recorded like `perf`, minus wall
-/// clocks — the artefact is byte-deterministic; the un-suffixed
+/// `BENCH_features_smoke.json` (no wall clocks, so the artefact is
+/// byte-deterministic; the un-suffixed
 /// `BENCH_features.json` name is reserved for the campaign runner's
 /// full-scale record) plus speedup/accuracy/coverage tables.
 pub(super) fn features(ctx: &mut FigureContext) -> Vec<FigureOutput> {
@@ -589,8 +430,8 @@ fn comparison_fields(c: Comparison) -> [(&'static str, Value); 4] {
 /// The features ablation artifact: per workload, the first `steps`
 /// ladder steps with the experimental `train_on_eviction` gate off and
 /// on. `comparison(row, col)` reads the grid, whose columns alternate
-/// off/on per step. Unlike the perf artifact it carries no wall-clock
-/// numbers, so its bytes are fully deterministic.
+/// off/on per step. Carries no wall-clock numbers, so its bytes are
+/// fully deterministic.
 fn features_document(
     params: RunParams,
     workloads: &[String],
@@ -997,6 +838,9 @@ fn multicore_document(params: RunParams, core_counts: &[usize], reports: &[&RunR
     ])
 }
 
+/// Extension study of the Set Dueller's bias B (Sec. 4.7, fn. 11): each
+/// modelled Markov hit is worth `12 / B` cache hits. The paper uses
+/// B = 2; B ∈ {1, 2, 4} exposes the speedup-for-traffic tradeoff.
 pub(super) fn duel_bias(ctx: &mut FigureContext) -> Vec<FigureOutput> {
     let biases = [1u32, 2, 4];
     let mut grid = GridSpec::new(ctx.params.run_params()).spec_rows();
@@ -1181,24 +1025,6 @@ mod tests {
             energy: 0.0,
             energy_dram_fraction: 0.0,
         }
-    }
-
-    #[test]
-    fn perf_document_bytes() {
-        let doc = perf_document(21, 2_100_000, &[(1, 1.0), (2, 0.6)], (100.0, 125.0));
-        assert_eq!(
-            doc.to_string(),
-            concat!(
-                r#"{"schema":3,"figure":"perf","sweep":"7 SPEC workloads x {Baseline, Triage, Triangel}, "#,
-                r#"warmup 50000 + 50000 accesses each, serial + jobs scaling","jobs":21,"total_accesses":2100000,"#,
-                r#""baseline":{"label":"PR 1 side-table hot path (pre-refactor)","wall_ms":1537.0,"accesses_per_sec":1366000.0},"#,
-                r#""current":{"label":"working tree","wall_ms":1000.0,"accesses_per_sec":2100000.0},"#,
-                r#""speedup":1.5373352855051245,"scaling":["#,
-                r#"{"workers":1,"wall_ms":1000.0,"accesses_per_sec":2100000.0,"speedup_vs_serial":1.0},"#,
-                r#"{"workers":2,"wall_ms":600.0,"accesses_per_sec":3500000.0,"speedup_vs_serial":1.6666666666666667}],"#,
-                r#""cell_cost":{"baseline_wall_ms":100.0,"triangel_wall_ms":125.0,"ratio":1.25}}"#,
-            )
-        );
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The experiment registry: every figure and table of the paper as a
 //! named, declarative definition, executed by `triangel-harness`.
 //!
-//! Binaries are thin: `fig10` is `run_main(Selection::One("fig10"))`,
-//! and `all_figures` is `run_main(Selection::All)`, which iterates the
-//! whole registry (optionally filtered with a regex) over one shared
-//! result cache, so simulations common to several figures — above all
-//! the per-workload stride-only baselines — execute exactly once per
-//! process.
+//! One binary runs them: `all_figures` is [`run_main`], which iterates
+//! the registry (or the names `--filter` selects, e.g. `'^fig10$'` for
+//! one figure) over one shared result cache, so simulations common to
+//! several figures — above all the per-workload stride-only baselines —
+//! execute exactly once per process.
 
 mod defs;
 
@@ -18,11 +17,11 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use triangel_harness::emit;
-use triangel_harness::filter::Pattern;
 use triangel_harness::{ResultCache, SweepOptions, SweepStats};
 use triangel_obs::json::Value;
 use triangel_sim::report::FigureTable;
 
+use crate::name_filter::NameFilter;
 use crate::{SpecSweep, SweepParams};
 
 /// One rendered artefact of an experiment.
@@ -33,13 +32,11 @@ pub enum FigureOutput {
     /// Free-form text (Tables 1 and 2 of the paper).
     Text(String),
     /// A machine-readable JSON artefact written under exactly
-    /// `<name>.json` (the perf trajectory's `BENCH_perf.json`). Always
-    /// persisted — to `--out-dir` when given, the working directory
-    /// otherwise — and never printed to stdout, so experiments whose
-    /// artefacts carry wall-clock timings keep `all_figures`' stdout
-    /// deterministic.
+    /// `<name>.json` (e.g. `BENCH_traces.json`). Always persisted — to
+    /// `--out-dir` when given, the working directory otherwise; stdout
+    /// gets only a one-line pointer to it.
     Json {
-        /// File stem (`BENCH_perf` → `BENCH_perf.json`).
+        /// File stem (`BENCH_traces` → `BENCH_traces.json`).
         name: String,
         /// The JSON document.
         body: Value,
@@ -244,11 +241,6 @@ pub fn registry() -> Vec<FigureDef> {
             run: defs::features,
         },
         FigureDef {
-            name: "perf",
-            title: "Hot-path throughput vs recorded baseline",
-            run: defs::perf,
-        },
-        FigureDef {
             name: "timeline",
             title: "Per-interval time-series +/- eviction training",
             run: defs::timeline,
@@ -266,18 +258,13 @@ pub fn registry() -> Vec<FigureDef> {
     ]
 }
 
-/// Looks up one experiment by name.
-pub fn find(name: &str) -> Option<FigureDef> {
-    registry().into_iter().find(|f| f.name == name)
-}
-
-/// Command-line options shared by the figure binaries.
+/// Command-line options of `all_figures`.
 #[derive(Debug, Default)]
 struct CliOptions {
     /// `--jobs N` (0 = one worker per core).
     jobs: usize,
-    /// `--filter <regex>` (only `all_figures`).
-    filter: Option<Pattern>,
+    /// `--filter <names>`: see [`NameFilter`].
+    filter: Option<NameFilter>,
     /// `--out-dir <dir>`: emit JSON/CSV here.
     out_dir: Option<PathBuf>,
     /// `--trace <path>`: record the harness's wall-time spans and write
@@ -292,13 +279,13 @@ struct CliOptions {
     store: Option<PathBuf>,
 }
 
-/// Parses `--jobs N`, `--filter RE`, `--out-dir DIR`, `--trace PATH`,
+/// Parses `--jobs N`, `--filter NAMES`, `--out-dir DIR`, `--trace PATH`,
 /// `--store DIR`.
 ///
 /// # Errors
 ///
 /// A usage message on unknown flags, missing values, or a malformed
-/// filter regex.
+/// filter.
 fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
     let mut opts = CliOptions::default();
     let mut args = args.peekable();
@@ -309,8 +296,8 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
                 opts.jobs = v.parse().map_err(|_| format!("bad --jobs value `{v}`"))?;
             }
             "--filter" => {
-                let v = args.next().ok_or("--filter needs a regex")?;
-                opts.filter = Some(Pattern::new(&v).map_err(|e| e.to_string())?);
+                let v = args.next().ok_or("--filter needs a pattern")?;
+                opts.filter = Some(NameFilter::new(&v)?);
             }
             "--out-dir" => {
                 let v = args.next().ok_or("--out-dir needs a path")?;
@@ -326,7 +313,7 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
             }
             other => {
                 return Err(format!(
-                    "unknown argument `{other}` (expected --jobs N, --filter RE, --out-dir DIR, \
+                    "unknown argument `{other}` (expected --jobs N, --filter NAMES, --out-dir DIR, \
                      --trace PATH, --store DIR)"
                 ))
             }
@@ -335,73 +322,42 @@ fn parse_cli(args: impl Iterator<Item = String>) -> Result<CliOptions, String> {
     Ok(opts)
 }
 
-/// Which experiments [`run_main`] runs.
-#[derive(Debug, Clone, Copy)]
-pub enum Selection {
-    /// Exactly the named experiment (a single-figure binary);
-    /// `--filter` is rejected.
-    One(&'static str),
-    /// Every experiment `--filter` matches (`all_figures`), each
-    /// announced on stderr, with a scheduler summary at the end.
-    All,
-}
-
-/// Entry point for every figure binary: parses the shared flags, runs
-/// the selected experiments over one [`FigureContext`], prints their
-/// artefacts to stdout and emits them (see [`emit_selected`]), then
-/// writes the `--trace` file and the store summary. Usage errors exit
-/// with status 2, emit failures with 1.
-///
-/// # Panics
-///
-/// Panics if a [`Selection::One`] name is not in the registry (a bug,
-/// not user error).
-pub fn run_main(selection: Selection) {
+/// Entry point of `all_figures`: parses the shared flags, runs the
+/// experiments `--filter` selects (all without it) over one
+/// [`FigureContext`], each announced on stderr, prints their artefacts
+/// to stdout and emits them (see [`emit_selected`]), then writes the
+/// `--trace` file, the store summary and the scheduler summary. Usage
+/// errors exit with status 2, emit failures with 1.
+pub fn run_main() {
     let cli = parse_cli(std::env::args().skip(1)).unwrap_or_else(|e| usage_error(&e));
+    let defs: Vec<FigureDef> = registry()
+        .into_iter()
+        .filter(|def| cli.filter.as_ref().is_none_or(|f| f.is_match(def.name)))
+        .collect();
+    if defs.is_empty() {
+        usage_error("--filter matched no experiments");
+    }
     let params = SweepParams::from_env();
-    let defs: Vec<FigureDef> = match selection {
-        Selection::One(name) => {
-            if cli.filter.is_some() {
-                usage_error(&format!(
-                    "--filter only applies to all_figures; this binary runs exactly `{name}`"
-                ));
-            }
-            vec![find(name).unwrap_or_else(|| panic!("unknown figure `{name}`"))]
-        }
-        Selection::All => {
-            eprintln!(
-                "==> all_figures: warmup {}, accesses {}, {} worker(s)",
-                params.warmup,
-                params.accesses,
-                if cli.jobs == 0 {
-                    "per-core".to_string()
-                } else {
-                    cli.jobs.to_string()
-                }
-            );
-            registry()
-                .into_iter()
-                .filter(|def| cli.filter.as_ref().is_none_or(|f| f.is_match(def.name)))
-                .collect()
-        }
-    };
-    let announce = matches!(selection, Selection::All);
     let mut ctx = FigureContext::new(params, cli.jobs);
     let trace = attach_trace(&mut ctx, &cli);
     if let Err(e) = attach_store(&mut ctx, &cli) {
         usage_error(&e);
     }
-    if defs.is_empty() {
-        usage_error("--filter matched no experiments");
-    }
-    // Tables/text are emitted only under --out-dir; JSON artefacts
-    // (the perf trajectory) are always written, defaulting to the
-    // working directory.
+    eprintln!(
+        "==> all_figures: warmup {}, accesses {}, {} worker(s)",
+        params.warmup,
+        params.accesses,
+        if cli.jobs == 0 {
+            "per-core".to_string()
+        } else {
+            cli.jobs.to_string()
+        }
+    );
+    // Tables/text are emitted only under --out-dir; JSON artefacts are
+    // always written, defaulting to the working directory.
     let dir = cli.out_dir.clone().unwrap_or_else(|| PathBuf::from("."));
     for def in &defs {
-        if announce {
-            eprintln!("==> {} ({})", def.name, def.title);
-        }
+        eprintln!("==> {} ({})", def.name, def.title);
         let outputs = def.run(&mut ctx);
         for out in &outputs {
             out.print();
@@ -413,17 +369,15 @@ pub fn run_main(selection: Selection) {
     }
     write_trace(&cli, trace.as_deref());
     store_summary(&ctx.opts);
-    if announce {
-        let stats = ctx.stats();
-        eprintln!(
-            "==> {} experiment(s); {} job(s), {} executed, {} cache hit(s), {} error(s)",
-            defs.len(),
-            stats.jobs,
-            stats.executed,
-            stats.cache_hits,
-            stats.errors
-        );
-    }
+    let stats = ctx.stats();
+    eprintln!(
+        "==> {} experiment(s); {} job(s), {} executed, {} cache hit(s), {} error(s)",
+        defs.len(),
+        stats.jobs,
+        stats.executed,
+        stats.cache_hits,
+        stats.errors
+    );
 }
 
 /// Prints a one-line error about the invocation (flags, store path)
@@ -534,12 +488,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_names_are_unique_and_cover_all_binaries() {
+    fn registry_names_are_unique_and_plain() {
         let names: Vec<&str> = registry().iter().map(|f| f.name).collect();
         let mut dedup = names.clone();
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), names.len(), "duplicate registry names");
+        // `[a-z0-9_]+`: no name can hold one of `--filter`'s metacharacters.
+        for name in &names {
+            assert!(
+                !name.is_empty()
+                    && name
+                        .bytes()
+                        .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_'),
+                "registry name `{name}` is outside [a-z0-9_]+"
+            );
+        }
         for expected in [
             "fig10",
             "fig16",
@@ -550,7 +514,6 @@ mod tests {
             "sec33_replacement",
             "duel_bias",
             "features",
-            "perf",
             "timeline",
             "traces",
             "multicore",
@@ -566,7 +529,7 @@ mod tests {
                 "--jobs",
                 "8",
                 "--filter",
-                "fig1[0-5]",
+                "^fig1|table",
                 "--out-dir",
                 "/tmp/x",
                 "--store",
@@ -577,8 +540,9 @@ mod tests {
         )
         .unwrap();
         assert_eq!(opts.jobs, 8);
-        assert!(opts.filter.as_ref().unwrap().is_match("fig12"));
-        assert!(!opts.filter.as_ref().unwrap().is_match("fig17"));
+        let filter = opts.filter.as_ref().unwrap();
+        assert!(filter.is_match("fig17") && filter.is_match("table2"));
+        assert!(!filter.is_match("fig20"));
         assert_eq!(
             opts.out_dir.as_deref(),
             Some(std::path::Path::new("/tmp/x"))
@@ -588,6 +552,7 @@ mod tests {
             Some(std::path::Path::new("/tmp/store"))
         );
         assert!(parse_cli(["--bogus"].iter().map(|s| s.to_string())).is_err());
+        assert!(parse_cli(["--filter", "fig1[0-5]"].iter().map(|s| s.to_string())).is_err());
         assert!(parse_cli(["--store"].iter().map(|s| s.to_string())).is_err());
     }
 }

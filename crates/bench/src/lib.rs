@@ -1,9 +1,11 @@
 //! Shared infrastructure for the figure-reproduction harness.
 //!
-//! Every binary in `src/bin/` regenerates one of the paper's tables or
-//! figures; all of them are declarative job lists executed by
-//! [`triangel_harness`] (see the [`figures`] registry, which maps
-//! experiment names to definitions). Figures 10–15 share one sweep over
+//! The `all_figures` binary regenerates the paper's tables and figures,
+//! each a declarative job list executed by [`triangel_harness`] (see
+//! the [`figures`] registry, which maps experiment names to
+//! definitions; `--filter` picks among them through [`name_filter`]).
+//! The other binaries are tools: `bless`, `campaign` and
+//! `trace_record`. Figures 10–15 share one sweep over
 //! the seven SPEC-like workloads; [`SpecSweep`] runs it once and
 //! exposes each figure's metric as a [`FigureTable`].
 //!
@@ -14,12 +16,13 @@
 //! * `TRIANGEL_WARMUP` / `TRIANGEL_ACCESSES` — explicit per-core access
 //!   counts.
 //!
-//! Command-line knobs (every binary): `--jobs N` sets the worker-thread
-//! count (default: one per core; results are bit-identical whatever the
-//! value). `all_figures` additionally takes `--filter <regex>` and
-//! `--out-dir <dir>` (JSON/CSV emission).
+//! Command-line knobs of `all_figures`: `--jobs N` sets the
+//! worker-thread count (default: one per core; results are
+//! bit-identical whatever the value), `--filter <names>` selects
+//! experiments and `--out-dir <dir>` adds JSON/CSV emission.
 
 pub mod figures;
+pub mod name_filter;
 
 use triangel_harness::{GridResult, GridSpec, RunParams, SweepOptions};
 use triangel_sim::report::FigureTable;

@@ -26,8 +26,6 @@
 //!   writer; figure artifacts build theirs the same way).
 //! * [`goldens`] — the pinned fixture sweeps, shared by the golden
 //!   tests and the `bless` re-bless devtool so they cannot drift.
-//! * [`filter::Pattern`] — a small regex engine (no dependencies) used
-//!   by `all_figures --filter` to select a subset of experiments.
 //!
 //! # Determinism
 //!
@@ -58,7 +56,6 @@
 
 pub mod campaign;
 pub mod emit;
-pub mod filter;
 pub mod goldens;
 mod grid;
 mod job;

@@ -147,7 +147,6 @@ fn committed_json_round_trips_through_the_one_writer() {
     let files = [
         repo.join("BENCH_features.json"),
         repo.join("BENCH_multicore.json"),
-        repo.join("BENCH_perf.json"),
         repo.join("BENCH_timeline.json"),
         golden_fixture_path(),
         evict_train_fixture_path(),
